@@ -7,10 +7,11 @@ import argparse
 
 import numpy as np
 
-from qeei import (QMatrix, cauchy_binet_residual, det, eei_report, matmul,
-                  qadj, right_eigenvalues, traditional_eigenpairs,
+from qeei import (HermitianSolve, cauchy_binet_residual, det, eei_report,
+                  identity, matmul, qadj, traditional_eigenpairs,
                   validate_hermitian, verify_outer_product)
-from qeei.eigen import _lambda_shift
+from qeei.eigen import lambda_shift
+from qeei.qmatrix import scale_left
 from qeei.random_matrices import random_hermitian_gapped, random_qmatrix
 
 
@@ -19,24 +20,24 @@ def survey(n, trials, rng):
             "cauchy_binet": 0.0, "oracle_dev": 0.0}
     for _ in range(trials):
         H = random_hermitian_gapped(n, rng, min_gap=1e-3)
+        solve = HermitianSolve(H)
         Q = qadj(H.inner)
         d = det(H.inner)
-        dE = QMatrix([[d * (1.0 if p == q else 0.0) for q in range(n)]
-                      for p in range(n)])
+        dE = scale_left(d, identity(n))
         rows["adjugate_identity"] = max(rows["adjugate_identity"],
                              (matmul(Q, H.inner) - dE).norm_inf())
         rows["eei"] = max(rows["eei"],
-                          max(r.residual for r in eei_report(H)))
+                          max(r.residual for r in eei_report(solve)))
         rows["outer"] = max(rows["outer"],
-                            max(verify_outer_product(H, i)
+                            max(verify_outer_product(solve, i)
                                 for i in range(1, n + 1)))
         if n >= 2:
-            lam = right_eigenvalues(H)[0]
-            shifted = validate_hermitian(_lambda_shift(H.inner, lam))
+            lam = solve.spectrum[0]
+            shifted = validate_hermitian(lambda_shift(H.inner, lam))
             B = random_qmatrix(n, n - 1, rng)
             rows["cauchy_binet"] = max(rows["cauchy_binet"],
                                        cauchy_binet_residual(shifted, B))
-        trad = traditional_eigenpairs(H)
+        trad = traditional_eigenpairs(solve)
         for pair in trad:
             rows["oracle_dev"] = max(rows["oracle_dev"], pair.residual)
     return rows

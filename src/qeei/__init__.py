@@ -6,10 +6,10 @@ from .qmatrix import (HermitianQMatrix, QMatrix, conj_transpose,
                       from_components, identity, matmul, minor,
                       natural_submatrix, real_lift, scale_right,
                       validate_hermitian, zeros)
-from .qdet import CycleDecomposition, det, det_invariance_check, qadj, row_expansion
-from .eigen import (EigenPair, EEIReport, Spectrum, eei_modulus, eei_report,
-                    eigenvector_from_qadj, right_eigenvalues, symmetric_eig,
-                    verify_outer_product)
+from .qdet import det, det_invariance_check, qadj, row_expansion
+from .eigen import (EigenPair, EEIReport, HermitianSolve, Spectrum,
+                    eei_modulus, eei_report, eigenvector_from_qadj,
+                    right_eigenvalues, symmetric_eig, verify_outer_product)
 from .oracle import (NullSpaceResult, cauchy_binet_residual, null_space,
                      traditional_eigenpairs)
 from . import errors

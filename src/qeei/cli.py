@@ -2,7 +2,7 @@
 
 Matrices travel as JSON files with keys n, re, im_i, im_j, im_k (the four
 real component matrices).  Subcommands: eig, vec, det, qadj, verify,
-random.  Exit codes: 0 ok, 2 parse error, 3 not Hermitian, 4 numerical
+random.  Exit codes: 0 ok, 2 bad input, 3 not Hermitian, 4 numerical
 failure, 5 degenerate eigenvalue, 6 complexity limit, 7 identity
 violation.
 """
@@ -12,15 +12,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import eigen, oracle, qdet, qmatrix, random_matrices
-from .errors import (ComplexityLimit, DegenerateEigenvalue, GroupingFailure,
-                     IdentityViolation, NoConvergence, PivotFailure,
-                     NotHermitian, NotSquare, QeeiError)
+from .errors import (ComplexityLimit, DegenerateEigenvalue, DimensionMismatch,
+                     IdentityViolation, IndexOutOfRange, NotHermitian,
+                     NotSquare, QeeiError)
 from .qmatrix import QMatrix
 
 EXIT_OK = 0
@@ -38,6 +39,20 @@ class ParseError(QeeiError):
     pass
 
 
+# the first class in an error's MRO found here gives the exit code
+EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    IndexOutOfRange: EXIT_PARSE,
+    DimensionMismatch: EXIT_PARSE,
+    NotHermitian: EXIT_NOT_HERMITIAN,
+    NotSquare: EXIT_NOT_HERMITIAN,
+    DegenerateEigenvalue: EXIT_DEGENERATE,
+    ComplexityLimit: EXIT_COMPLEXITY,
+    IdentityViolation: EXIT_VIOLATION,
+    QeeiError: EXIT_NUMERICAL,
+}
+
+
 def load_matrix_file(path):
     """Returns (QMatrix, echo dict, sha256 digest)."""
     try:
@@ -51,13 +66,18 @@ def load_matrix_file(path):
         comps = [doc[key] for key in ("re", "im_i", "im_j", "im_k")]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"matrix file {path} is missing key {exc}") from exc
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}")
     arrays = []
     for key, comp in zip(("re", "im_i", "im_j", "im_k"), comps):
-        arr = np.asarray(comp, dtype=float)
+        try:
+            arr = np.asarray(comp, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"component {key} is not numeric: {exc}") from exc
         if arr.shape != (n, n):
             raise ParseError(f"component {key} is not {n} x {n}")
+        if not np.isfinite(arr).all():
+            raise ParseError(f"component {key} has a NaN or infinite entry")
         arrays.append(arr)
     A = qmatrix.from_components(*arrays)
     echo = {"n": n, "re": comps[0], "im_i": comps[1],
@@ -85,6 +105,11 @@ def base_report(args, echo, digest, tol):
 def residual_scale(A: QMatrix) -> float:
     """Residual comparisons scale with 1 + ||A||_inf ** n."""
     return 1.0 + A.norm_inf() ** A.n_rows
+
+
+def within(values, bound):
+    """No value is NaN or above bound, and bound is finite (values are >= 0)."""
+    return all(v <= bound < math.inf for v in values)
 
 
 def emit(report, fmt, text_lines):
@@ -126,7 +151,7 @@ def cmd_vec(args, tol, fmt):
         "norm_dev": pair.norm_dev,
     }]
     scale = residual_scale(A)
-    if pair.residual > tol * scale or pair.norm_dev > tol * scale:
+    if not within((pair.residual, pair.norm_dev), tol * scale):
         report["status"] = "violation"
     lines = [f"lambda_{args.index} = {pair.lam:.10g}"]
     for p, (a,) in enumerate(pair.vector.rows, start=1):
@@ -150,7 +175,7 @@ def cmd_qadj(args, tol, fmt):
     A, echo, digest = load_matrix_file(args.file)
     target = A
     if args.lam is not None:
-        target = eigen._lambda_shift(A, args.lam)
+        target = eigen.lambda_shift(A, args.lam)
     Q = qdet.qadj(target)
     comps = Q.components()
     report = base_report(args, echo, digest, tol)
@@ -170,26 +195,25 @@ def cmd_verify(args, tol, fmt):
     A, echo, digest = load_matrix_file(args.file)
     H = qmatrix.validate_hermitian(A)
     n = H.n
-    spectrum = eigen.right_eigenvalues(H)
+    solve = eigen.HermitianSolve(H)
     scale = residual_scale(A)
 
-    reports = eigen.eei_report(H)
+    reports = eigen.eei_report(solve)
     eei_max = max(r.residual for r in reports)
-    outer_max = max(eigen.verify_outer_product(H, i) for i in range(1, n + 1))
+    outer_max = max(eigen.verify_outer_product(solve, i) for i in range(1, n + 1))
 
     dA = qdet.det(A)
     Q = qdet.qadj(A)
-    dE = QMatrix([[dA * (1.0 if p == q else 0.0) for q in range(n)]
-                  for p in range(n)])
+    dE = qmatrix.scale_left(dA, qmatrix.identity(n))
     adj_identity = max((qmatrix.matmul(Q, A) - dE).norm_inf(),
                        (qmatrix.matmul(A, Q) - dE).norm_inf())
 
     prod = 1.0
-    for v in spectrum.values:
+    for v in solve.spectrum.values:
         prod *= v
     det_vs_product = (dA - prod).modulus()
 
-    pairs = [eigen.eigenvector_from_qadj(H, i) for i in range(1, n + 1)]
+    pairs = [eigen.eigenvector_from_qadj(solve, i) for i in range(1, n + 1)]
     V = QMatrix([[pairs[q].vector[p, 0] for q in range(n)] for p in range(n)])
     gram = qmatrix.matmul(qmatrix.conj_transpose(V), V)
     unitarity = (gram - qmatrix.identity(n)).norm_inf()
@@ -202,13 +226,13 @@ def cmd_verify(args, tol, fmt):
         "unitarity": unitarity,
     }
     report = base_report(args, echo, digest, tol)
-    report["spectrum"] = list(spectrum.values)
+    report["spectrum"] = list(solve.spectrum.values)
     report["residuals"] = residuals
     report["tolerances"]["residual_scale"] = scale
     worst = max(residuals.values())
-    if worst > tol * scale:
+    if not within(residuals.values(), tol * scale):
         report["status"] = "violation"
-    lines = ["spectrum: " + ", ".join(f"{v:.10g}" for v in spectrum.values)]
+    lines = ["spectrum: " + ", ".join(f"{v:.10g}" for v in solve.spectrum.values)]
     lines += [f"{k} = {v:.3e}" for k, v in residuals.items()]
     lines.append(f"status: {report['status']} "
                  f"(worst {worst:.3e} vs {tol * scale:.3e})")
@@ -265,24 +289,10 @@ def main(argv=None):
         tol = float(os.environ.get("QEEI_TOL", DEFAULT_TOL))
     try:
         return args.func(args, tol, args.format)
-    except ParseError as exc:
+    except QeeiError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NotHermitian, NotSquare) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_HERMITIAN
-    except (GroupingFailure, NoConvergence, PivotFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DegenerateEigenvalue as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ComplexityLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPLEXITY
-    except IdentityViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__
+                    if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

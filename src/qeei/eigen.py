@@ -5,11 +5,12 @@ right eigenvalues each repeated four times.  Eigenvector component moduli
 come from the eigenvector-eigenvalue identity (ratio of products of
 spectral gaps against minor spectra); full eigenvectors come from one
 column of the quaternion adjugate of lambda*E - A, which is a rank-one
-outer product c * v v*.
+outer product c * v v*.  HermitianSolve computes each of these once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -156,7 +157,8 @@ def default_simple_tol(spectrum: Spectrum) -> float:
     return 1e-6 * (1.0 + spectrum.spectral_range())
 
 
-def _require_simple(spectrum: Spectrum, i: int, simple_tol=None) -> float:
+def require_simple(spectrum: Spectrum, i: int, simple_tol=None) -> float:
+    """Check that 1 <= i <= n and that lambda_i is simple; returns the tol used."""
     n = len(spectrum)
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"eigenvalue index {i} outside 1..{n}")
@@ -169,119 +171,147 @@ def _require_simple(spectrum: Spectrum, i: int, simple_tol=None) -> float:
     return simple_tol
 
 
-def _gap_product(spectrum: Spectrum, i: int) -> float:
-    lam = spectrum[i - 1]
-    prod = 1.0
-    for k, mu in enumerate(spectrum.values):
-        if k != i - 1:
-            prod *= lam - mu
-    return prod
-
-
-def eei_modulus(A: HermitianQMatrix, i: int, j: int, simple_tol=None,
-                clamp_tol=1e-9) -> float:
-    """|v_ij|^2 from eigenvalues of A and of the minor M_j alone."""
-    n = A.n
-    if not 1 <= j <= n:
-        raise IndexOutOfRange(f"component index {j} outside 1..{n}")
-    spectrum = right_eigenvalues(A)
-    _require_simple(spectrum, i, simple_tol)
-    if n == 1:
-        return 1.0
-    lam = spectrum[i - 1]
-    minor_spec = right_eigenvalues(qmatrix.minor(A, j))
-    num = 1.0
-    for mu in minor_spec.values:
-        num *= lam - mu
-    ratio = num / _gap_product(spectrum, i)
-    return _clamp_modulus(ratio, clamp_tol, i, j)
-
-
-def _clamp_modulus(ratio, clamp_tol, i, j):
-    if ratio < -clamp_tol or ratio > 1.0 + clamp_tol:
-        raise IdentityViolation(
-            f"|v_{i}{j}|^2 = {ratio:.3e} outside [0, 1] beyond rounding slack")
-    return min(max(ratio, 0.0), 1.0)
-
-
-def eigenvector_from_qadj(A: HermitianQMatrix, i: int, simple_tol=None) -> EigenPair:
-    """Unit eigenvector for the i-th (ascending, simple) eigenvalue.
-
-    qadj(lam*E - A) equals c * v v* with c the product of spectral gaps,
-    so one column recovers v once the pivot component is made real.
-    """
-    n = A.n
-    spectrum = right_eigenvalues(A)
-    _require_simple(spectrum, i, simple_tol)
-    lam = spectrum[i - 1]
-    c = _gap_product(spectrum, i)
-    shifted = _lambda_shift(A.inner, lam)
-    Q = qdet.qadj(shifted)
-
-    # diagonal of Q is c * |v_m|^2; pick the dominant component
-    weights = [Q[m, m].w / c for m in range(n)]
-    m = max(range(n), key=lambda t: weights[t])
-    if weights[m] < 1e-12:
-        raise PivotFailure(
-            "no usable diagonal pivot in qadj (rank-one structure lost)")
-    vm = math.sqrt(weights[m])
-    comps = []
-    for p in range(n):
-        if p == m:
-            comps.append([Quaternion(vm)])
-        else:
-            comps.append([Q[p, m] * (1.0 / (vm * c))])
-    v = QMatrix(comps)
-
-    res = _residual(A.inner, v, lam)
-    norm = math.sqrt(sum(a.norm_sq() for row in v.rows for a in row))
-    return EigenPair(lam, v, m + 1, res, abs(norm - 1.0))
-
-
-def _lambda_shift(A: QMatrix, lam: float) -> QMatrix:
+def lambda_shift(A: QMatrix, lam: float) -> QMatrix:
     """lam * E - A."""
     n = A.n_rows
     return QMatrix([[Quaternion(lam) - A[p, q] if p == q else -A[p, q]
                      for q in range(n)] for p in range(n)])
 
 
-def _residual(A: QMatrix, v: QMatrix, lam: float) -> float:
-    r = qmatrix.matmul(A, v) - qmatrix.scale_right(v, lam)
-    return math.sqrt(sum(a.norm_sq() for row in r.rows for a in row))
+def vector_norm(v: QMatrix) -> float:
+    """Euclidean norm over all entries."""
+    return math.sqrt(sum(a.norm_sq() for row in v.rows for a in row))
 
 
-def eei_report(A: HermitianQMatrix, simple_tol=None) -> list:
+def residual(A: QMatrix, v: QMatrix, lam: float) -> float:
+    """||A v - v lam||_2."""
+    return vector_norm(qmatrix.matmul(A, v) - qmatrix.scale_right(v, lam))
+
+
+def _kept(method):
+    """Compute method(self, k) once per k and keep it on self."""
+    @functools.wraps(method)
+    def kept(self, k):
+        key = (method.__name__, k)
+        if key not in self._kept:
+            self._kept[key] = method(self, k)
+        return self._kept[key]
+    return kept
+
+
+class HermitianSolve:
+    """A Hermitian matrix and its spectrum; minor spectra, gap products,
+    shifted adjugates and eigenpairs are computed on first use and kept."""
+
+    def __init__(self, A: HermitianQMatrix, simple_tol=None):
+        self.A = A
+        self.n = A.n
+        self.simple_tol = simple_tol
+        self.spectrum = right_eigenvalues(A)
+        self._kept = {}
+
+    def eigenvalue(self, i: int) -> float:
+        """lambda_i (1-based, ascending), which must be simple."""
+        require_simple(self.spectrum, i, self.simple_tol)
+        return self.spectrum[i - 1]
+
+    @_kept
+    def minor_spectrum(self, j: int) -> Spectrum:
+        """Spectrum of the minor M_j."""
+        return right_eigenvalues(qmatrix.minor(self.A, j))
+
+    @_kept
+    def gap_product(self, i: int) -> float:
+        """c_i = prod over k != i of (lambda_i - lambda_k)."""
+        lam = self.eigenvalue(i)
+        return math.prod((lam - mu for k, mu in enumerate(self.spectrum.values)
+                          if k != i - 1), start=1.0)
+
+    def minor_gap_product(self, i: int, j: int) -> float:
+        """prod over mu in the spectrum of M_j of (lambda_i - mu) = c_i |v_ij|^2."""
+        lam = self.eigenvalue(i)
+        minor = self.minor_spectrum(j).values if self.n > 1 else ()  # 0 x 0 minor
+        return math.prod((lam - mu for mu in minor), start=1.0)
+
+    @_kept
+    def adjugate(self, i: int) -> QMatrix:
+        """qadj(lambda_i E - A), which equals c_i v_i v_i*."""
+        return qdet.qadj(lambda_shift(self.A.inner, self.eigenvalue(i)))
+
+    @_kept
+    def eigenpair(self, i: int) -> EigenPair:
+        """Unit v_i from the adjugate column through its largest diagonal entry."""
+        n = self.n
+        lam = self.eigenvalue(i)
+        c = self.gap_product(i)
+        Q = self.adjugate(i)
+
+        # diagonal of Q is c * |v_m|^2; pick the dominant component
+        weights = [Q[m, m].w / c for m in range(n)]
+        m = max(range(n), key=lambda t: weights[t])
+        if not all(map(math.isfinite, weights)) or weights[m] < 1e-12:
+            raise PivotFailure("no finite, usable diagonal pivot in qadj "
+                               "(rank-one structure lost)")
+        vm = math.sqrt(weights[m])
+        comps = []
+        for p in range(n):
+            if p == m:
+                comps.append([Quaternion(vm)])
+            else:
+                comps.append([Q[p, m] * (1.0 / (vm * c))])
+        v = QMatrix(comps)
+        return EigenPair(lam, v, m + 1, residual(self.A.inner, v, lam),
+                         abs(vector_norm(v) - 1.0))
+
+
+def as_solve(A, simple_tol=None) -> HermitianSolve:
+    """A if it is a solve (which keeps its own simple_tol), else a solve of A."""
+    return A if isinstance(A, HermitianSolve) else HermitianSolve(A, simple_tol)
+
+
+def eei_modulus(A, i: int, j: int, simple_tol=None, clamp_tol=1e-9) -> float:
+    """|v_ij|^2 from eigenvalues of A and of the minor M_j alone."""
+    n = A.n
+    if not 1 <= j <= n:
+        raise IndexOutOfRange(f"component index {j} outside 1..{n}")
+    solve = as_solve(A, simple_tol)
+    ratio = solve.minor_gap_product(i, j) / solve.gap_product(i)
+    if ratio < -clamp_tol or ratio > 1.0 + clamp_tol:
+        raise IdentityViolation(
+            f"|v_{i}{j}|^2 = {ratio:.3e} outside [0, 1] beyond rounding slack")
+    return min(max(ratio, 0.0), 1.0)
+
+
+def eigenvector_from_qadj(A, i: int, simple_tol=None) -> EigenPair:
+    """Unit eigenvector for the i-th (ascending, simple) eigenvalue.
+
+    qadj(lam*E - A) equals c * v v* with c the product of spectral gaps,
+    so one column recovers v once the pivot component is made real.
+    """
+    return as_solve(A, simple_tol).eigenpair(i)
+
+
+def eei_report(A, simple_tol=None) -> list:
     """Both sides of the identity for every (i, j), via the adjugate route."""
     n = A.n
-    if n == 1:
-        return [EEIReport(1, 1, 1.0, 1.0)]
-    spectrum = right_eigenvalues(A)
-    for i in range(1, n + 1):
-        _require_simple(spectrum, i, simple_tol)
-    minor_specs = [right_eigenvalues(qmatrix.minor(A, j))
-                   for j in range(1, n + 1)]
+    solve = as_solve(A, simple_tol)
+    for i in range(1, n + 1):  # all simple before any adjugate is built
+        solve.eigenvalue(i)
     reports = []
     for i in range(1, n + 1):
-        lam = spectrum[i - 1]
-        c = _gap_product(spectrum, i)
-        pair = eigenvector_from_qadj(A, i, simple_tol)
-        for j in range(1, n + 1):
-            lhs = pair.vector[j - 1, 0].norm_sq() * c
-            rhs = 1.0
-            for mu in minor_specs[j - 1].values:
-                rhs *= lam - mu
-            reports.append(EEIReport(i, j, lhs, rhs))
+        rhs = [solve.minor_gap_product(i, j) for j in range(1, n + 1)]
+        c = solve.gap_product(i)
+        v = solve.eigenpair(i).vector
+        reports += [EEIReport(i, j, v[j - 1, 0].norm_sq() * c, rhs[j - 1])
+                    for j in range(1, n + 1)]
     return reports
 
 
-def verify_outer_product(A: HermitianQMatrix, i: int, simple_tol=None) -> float:
+def verify_outer_product(A, i: int, simple_tol=None) -> float:
     """Max deviation of qadj(lam*E - A) from c * v v*."""
-    spectrum = right_eigenvalues(A)
-    _require_simple(spectrum, i, simple_tol)
-    lam = spectrum[i - 1]
-    c = _gap_product(spectrum, i)
-    pair = eigenvector_from_qadj(A, i, simple_tol)
-    Q = qdet.qadj(_lambda_shift(A.inner, lam))
-    outer = qmatrix.matmul(pair.vector, qmatrix.conj_transpose(pair.vector))
+    solve = as_solve(A, simple_tol)
+    v = solve.eigenpair(i).vector
+    outer = qmatrix.matmul(v, qmatrix.conj_transpose(v))
+    c = solve.gap_product(i)
     scaled = QMatrix([[a * c for a in row] for row in outer.rows])
-    return (Q - scaled).norm_inf()
+    return (solve.adjugate(i) - scaled).norm_inf()

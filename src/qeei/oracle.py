@@ -7,7 +7,6 @@ preserved and right eigenvectors keep their scalar on the right.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import eigen, qdet, qmatrix
@@ -76,7 +75,7 @@ def null_space(M: QMatrix, pivot_tol=None) -> NullSpaceResult:
 
 
 def _unit(v: QMatrix) -> QMatrix:
-    norm = math.sqrt(sum(a.norm_sq() for row in v.rows for a in row))
+    norm = eigen.vector_norm(v)
     return QMatrix([[a * (1.0 / norm)] for (a,) in v.rows])
 
 
@@ -89,21 +88,19 @@ def _phase_normalize(v: QMatrix) -> tuple:
     return qmatrix.scale_right(v, q), m + 1
 
 
-def traditional_eigenpairs(A: HermitianQMatrix, simple_tol=None) -> list:
+def traditional_eigenpairs(A, simple_tol=None) -> list:
     """Eigenpairs by solving (A - lam E) v = 0 directly for each lam."""
-    spectrum = eigen.right_eigenvalues(A)
-    n = A.n
+    solve = eigen.as_solve(A, simple_tol)
     pairs = []
-    for i in range(1, n + 1):
-        eigen._require_simple(spectrum, i, simple_tol)
-        lam = spectrum[i - 1]
-        ns = null_space(eigen._lambda_shift(A.inner, lam))
+    for i in range(1, solve.n + 1):
+        lam = solve.eigenvalue(i)
+        ns = null_space(eigen.lambda_shift(solve.A.inner, lam))
         if ns.dim != 1:
             raise DegenerateEigenvalue(
                 f"null space of A - {lam:g} E has dimension {ns.dim}, expected 1")
         v, m = _phase_normalize(ns.basis[0])
-        res = eigen._residual(A.inner, v, lam)
-        norm = math.sqrt(sum(a.norm_sq() for row in v.rows for a in row))
+        res = eigen.residual(solve.A.inner, v, lam)
+        norm = eigen.vector_norm(v)
         pairs.append(eigen.EigenPair(lam, v, m, res, abs(norm - 1.0)))
     return pairs
 
@@ -125,7 +122,7 @@ def cauchy_binet_residual(A: HermitianQMatrix, B: QMatrix,
     if abs(spectrum[z]) > zero_tol:
         raise NoZeroEigenvalue(
             f"smallest |eigenvalue| is {abs(spectrum[z]):.3e} > {zero_tol:.1e}")
-    ns = null_space(eigen._lambda_shift(A.inner, spectrum[z]))
+    ns = null_space(eigen.lambda_shift(A.inner, spectrum[z]))
     if ns.dim < 1:
         raise NoZeroEigenvalue("no null vector found at the zero eigenvalue")
     v = ns.basis[0]

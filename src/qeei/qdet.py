@@ -18,7 +18,6 @@ Hermitian H.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import qmatrix
 from .errors import ComplexityLimit, IndexOutOfRange, NotSquare
@@ -28,63 +27,27 @@ from .qmatrix import HermitianQMatrix, QMatrix, natural_submatrix
 MAX_FACTORIAL_DIM = 8
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Cycles of a permutation (1-based), ordered for one of the two sums."""
-
-    cycles: tuple
-    sign: int
-
-    @staticmethod
-    def det_normal_form(perm):
-        """Each cycle led by its largest element; leaders descending."""
-        cycles = _raw_cycles(perm)
-        ordered = []
-        for cyc in cycles:
-            top = cyc.index(max(cyc))
-            ordered.append(tuple(cyc[top:] + cyc[:top]))
-        ordered.sort(key=lambda c: -c[0])
-        return CycleDecomposition(tuple(ordered), _cycle_sign(len(perm), len(cycles)))
-
-    @staticmethod
-    def row_expansion_form(perm):
-        """Each cycle led by its smallest element; leaders ascending."""
-        cycles = _raw_cycles(perm)
-        ordered = []
-        for cyc in cycles:
-            low = cyc.index(min(cyc))
-            ordered.append(tuple(cyc[low:] + cyc[:low]))
-        ordered.sort(key=lambda c: c[0])
-        return CycleDecomposition(tuple(ordered), _cycle_sign(len(perm), len(cycles)))
-
-    def factor_rows(self):
-        """Row visit order of the term's factors."""
-        return [r for cyc in self.cycles for r in cyc]
+def permutation_terms(n, order):
+    """Yield (sign, 0-based (row, col) factors in product order) per permutation;
+    each cycle is walked r -> perm[r] from the first unused row, ascending
+    for order "row" and descending for "det"."""
+    starts = {"det": range(n - 1, -1, -1), "row": range(n)}[order]
+    for perm in itertools.permutations(range(n)):
+        seen = [False] * n
+        cells = []
+        n_cycles = 0
+        for r in starts:
+            if seen[r]:
+                continue
+            n_cycles += 1
+            while not seen[r]:
+                seen[r] = True
+                cells.append((r, perm[r]))
+                r = perm[r]
+        yield (-1 if (n - n_cycles) % 2 else 1), cells
 
 
-def _raw_cycles(perm):
-    """perm is 0-based (perm[r] = image of r); cycles returned 1-based."""
-    n = len(perm)
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        r = start
-        while not seen[r]:
-            seen[r] = True
-            cyc.append(r + 1)
-            r = perm[r]
-        cycles.append(cyc)
-    return cycles
-
-
-def _cycle_sign(n, n_cycles):
-    return -1 if (n - n_cycles) % 2 else 1
-
-
-def _permutation_sum(A: QMatrix, form):
+def _permutation_sum(A: QMatrix, order):
     n = A.n_rows
     if not A.is_square():
         raise NotSquare(f"determinant needs a square matrix, got {A.shape}")
@@ -92,23 +55,22 @@ def _permutation_sum(A: QMatrix, form):
         raise ComplexityLimit(
             f"n = {n} exceeds the factorial-sum cap n <= {MAX_FACTORIAL_DIM}")
     total = Quaternion()
-    for perm in itertools.permutations(range(n)):
-        decomp = form(perm)
-        term = Quaternion(float(decomp.sign))
-        for r in decomp.factor_rows():
-            term = term * A[r - 1, perm[r - 1]]
+    for sign, cells in permutation_terms(n, order):
+        term = Quaternion(float(sign))
+        for r, c in cells:
+            term = term * A.rows[r][c]
         total = total + term
     return total
 
 
 def det(A: QMatrix) -> Quaternion:
     """Permutation determinant with descending-cycle-leader factor order."""
-    return _permutation_sum(A, CycleDecomposition.det_normal_form)
+    return _permutation_sum(A, "det")
 
 
 def row_expansion(A: QMatrix) -> Quaternion:
     """|A|^row: factor order chains through the permutation from row 1."""
-    return _permutation_sum(A, CycleDecomposition.row_expansion_form)
+    return _permutation_sum(A, "row")
 
 
 def qadj(A: QMatrix) -> QMatrix:

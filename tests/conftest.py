@@ -39,3 +39,16 @@ def phase_align(v, target):
 def max_component_dev(v, w):
     return max(max(abs(a - b) for a, b in zip(x.components(), y.components()))
                for (x,), (y,) in zip(v.rows, w.rows))
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so each call is recorded; returns the list of calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -13,7 +13,7 @@ from qeei import (QMatrix, cauchy_binet_residual, det, eei_modulus, eei_report,
                   eigenvector_from_qadj, matmul, minor, qadj, real_lift,
                   right_eigenvalues, row_expansion, scale_right, symmetric_eig,
                   traditional_eigenpairs, validate_hermitian)
-from qeei.eigen import _lambda_shift
+from qeei.eigen import lambda_shift
 from qeei.quat import Quaternion
 from qeei.random_matrices import (random_hermitian, random_hermitian_gapped,
                                   random_qmatrix)
@@ -49,7 +49,7 @@ def test_criterion_2_adjugate_listing_reproduction():
     t0 = time.perf_counter()
     H = validate_hermitian(EXAMPLE)
     lam1 = right_eigenvalues(H)[1]
-    B0, B1, B2, B3 = qadj(_lambda_shift(EXAMPLE, lam1)).components()
+    B0, B1, B2, B3 = qadj(lambda_shift(EXAMPLE, lam1)).components()
     listing_ok = (
         np.allclose(B0, [[0.5 + SQRT13 / 2, 0], [0, -0.5 + SQRT13 / 2]],
                     atol=1e-10)
@@ -113,7 +113,7 @@ def test_criterion_5_cauchy_binet_suite():
         n = 3 + t % 2
         H = random_hermitian(n, rng)
         lam = right_eigenvalues(H)[t % n]
-        shifted = validate_hermitian(_lambda_shift(H.inner, lam))
+        shifted = validate_hermitian(lambda_shift(H.inner, lam))
         B = random_qmatrix(n, n - 1, rng)
         worst = max(worst, cauchy_binet_residual(shifted, B))
     elapsed = time.perf_counter() - t0

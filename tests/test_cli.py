@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -6,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from qeei import cli
+from qeei import cli, eigen, qdet
 from qeei.qmatrix import from_components
+from qeei.random_matrices import random_hermitian_gapped
 
-from conftest import SQRT13
+from conftest import SQRT13, count_calls
 
 EXAMPLE_DOC = {
     "n": 2,
@@ -120,6 +122,66 @@ def test_not_hermitian_exit(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["eig", str(path)]) == 3
     assert cli.main(["verify", str(path)]) == 3
+
+
+def write_doc(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("index", ["0", "3"])
+def test_vec_index_out_of_range_exit(example_file, capsys, index):
+    assert cli.main(["vec", example_file, "--index", index]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf"), "x"])
+def test_bad_entry_exit(tmp_path, capsys, entry):
+    doc = dict(EXAMPLE_DOC, re=[[3, 0], [0, entry]])
+    assert cli.main(["eig", write_doc(tmp_path, "bad.json", doc)]) == 2
+
+
+def test_bool_n_exit(tmp_path, capsys):
+    doc = {"n": True, "re": [[1]], "im_i": [[0]], "im_j": [[0]], "im_k": [[0]]}
+    assert cli.main(["eig", write_doc(tmp_path, "booln.json", doc)]) == 2
+
+
+def test_non_finite_eigenvector_is_not_ok(tmp_path, capsys):
+    # 1e300 overflows the shifted adjugate; the vector would be all NaN
+    zero = [[0.0] * 3 for _ in range(3)]
+    doc = {"n": 3, "re": [[1e300, 0.5, 0.1], [0.5, 2.0, 0.3], [0.1, 0.3, -1.0]],
+           "im_i": zero, "im_j": zero, "im_k": zero}
+    path = write_doc(tmp_path, "huge.json", doc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, report = run_json(capsys, ["vec", path, "--index", "3"])
+    assert code == 4 and report is None
+
+
+def test_non_finite_residual_is_a_violation(example_file, capsys, monkeypatch):
+    real = eigen.eigenvector_from_qadj
+
+    def nan_residual(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), residual=math.nan)
+
+    monkeypatch.setattr(eigen, "eigenvector_from_qadj", nan_residual)
+    code, report = run_json(capsys, ["vec", example_file, "--index", "1"])
+    assert code == 7 and report["status"] == "violation"
+    monkeypatch.setattr(eigen, "verify_outer_product", lambda *a, **k: math.nan)
+    code, report = run_json(capsys, ["verify", example_file])
+    assert code == 7 and report["status"] == "violation"
+
+
+def test_verify_solves_each_matrix_once(tmp_path, capsys, monkeypatch):
+    H = random_hermitian_gapped(4, np.random.default_rng(11))
+    path = write_doc(tmp_path, "gapped.json", cli.matrix_to_doc(H.inner))
+    eigs = count_calls(monkeypatch, eigen, "symmetric_eig")
+    adjs = count_calls(monkeypatch, qdet, "qadj")
+    code, report = run_json(capsys, ["verify", path])
+    assert code == 0 and report["status"] == "ok"
+    # one spectrum and four minor spectra; four shifted adjugates and qadj(A)
+    assert (len(eigs), len(adjs)) == (5, 5)
 
 
 def test_degenerate_exit(tmp_path, capsys):

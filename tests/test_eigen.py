@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from qeei import (QMatrix, conj_transpose, eei_modulus, eei_report,
-                  eigenvector_from_qadj, identity, matmul, minor,
+from qeei import (HermitianSolve, QMatrix, conj_transpose, eei_modulus,
+                  eei_report, eigenvector_from_qadj, identity, matmul, minor,
                   real_lift, right_eigenvalues, symmetric_eig,
                   validate_hermitian, verify_outer_product)
+from qeei import eigen, qdet
 from qeei.errors import (DegenerateEigenvalue, GroupingFailure, NotSymmetric)
 from qeei.quat import I, J, K, Quaternion
 from qeei.random_matrices import random_hermitian, random_hermitian_gapped
 
-from conftest import SQRT13, U, max_component_dev, phase_align, vec_norm
+from conftest import (SQRT13, U, count_calls, max_component_dev, phase_align,
+                      vec_norm)
 
 
 def herm(rows):
@@ -219,3 +221,41 @@ def test_outer_product_random():
     H = random_hermitian_gapped(3, rng)
     for i in (1, 2, 3):
         assert verify_outer_product(H, i) < 1e-8
+
+
+# ------------------------------------------------------------- the solve
+
+def test_solve_gives_the_matrix_route_results():
+    rng = np.random.default_rng(21)
+    H = random_hermitian_gapped(4, rng)
+    solve = HermitianSolve(H)
+    assert solve.spectrum == right_eigenvalues(H)
+    assert eei_report(solve) == eei_report(H)
+    for i in range(1, 5):
+        assert eigenvector_from_qadj(solve, i) == eigenvector_from_qadj(H, i)
+        assert verify_outer_product(solve, i) == verify_outer_product(H, i)
+        for j in range(1, 5):
+            assert eei_modulus(solve, i, j) == eei_modulus(H, i, j)
+
+
+def test_eigenvector_solves_once(monkeypatch):
+    H = random_hermitian_gapped(4, np.random.default_rng(22))
+    eigs = count_calls(monkeypatch, eigen, "symmetric_eig")
+    adjs = count_calls(monkeypatch, qdet, "qadj")
+    eigenvector_from_qadj(H, 2)
+    assert (len(eigs), len(adjs)) == (1, 1)
+
+
+def test_solve_keeps_each_result(monkeypatch):
+    H = random_hermitian_gapped(4, np.random.default_rng(23))
+    solve = HermitianSolve(H)
+    eigs = count_calls(monkeypatch, eigen, "symmetric_eig")
+    adjs = count_calls(monkeypatch, qdet, "qadj")
+    for _ in range(2):
+        eei_report(solve)
+        for i in range(1, 5):
+            verify_outer_product(solve, i)
+            eigenvector_from_qadj(solve, i)
+    # four minor spectra and four shifted adjugates, each built once
+    assert (len(eigs), len(adjs)) == (4, 4)
+    assert solve.eigenpair(3) is eigenvector_from_qadj(solve, 3)

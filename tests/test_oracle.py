@@ -6,7 +6,7 @@ import pytest
 from qeei import (QMatrix, cauchy_binet_residual, eigenvector_from_qadj,
                   identity, matmul, null_space, real_lift, right_eigenvalues,
                   traditional_eigenpairs, validate_hermitian, zeros)
-from qeei.eigen import _lambda_shift
+from qeei.eigen import lambda_shift
 from qeei.errors import DimensionMismatch, NoZeroEigenvalue
 from qeei.quat import Quaternion
 from qeei.random_matrices import (random_hermitian, random_hermitian_gapped,
@@ -31,7 +31,7 @@ def test_null_space_diag():
 
 def test_null_space_example_eigenvector(example_matrix, example_hermitian):
     lam1 = (5 + SQRT13) / 2
-    result = null_space(_lambda_shift(example_matrix, lam1))
+    result = null_space(lambda_shift(example_matrix, lam1))
     assert result.dim == 1
     target = QMatrix([[U * math.sqrt(2.0 / (13.0 - SQRT13))],
                       [Quaternion(math.sqrt((13.0 - SQRT13) / 26.0))]])
@@ -44,7 +44,7 @@ def test_null_space_vectors_annihilate():
     for n in (3, 4):
         H = random_hermitian(n, rng)
         spec = right_eigenvalues(H)
-        M = _lambda_shift(H.inner, spec[0])
+        M = lambda_shift(H.inner, spec[0])
         result = null_space(M)
         assert result.dim >= 1
         for b in result.basis:
@@ -94,7 +94,7 @@ def test_cauchy_binet_example(example_hermitian):
     spec = right_eigenvalues(example_hermitian)
     for lam in spec.values:
         shifted = validate_hermitian(
-            _lambda_shift(example_hermitian.inner, lam))
+            lambda_shift(example_hermitian.inner, lam))
         B = QMatrix([[0], [1]])
         assert cauchy_binet_residual(shifted, B) < 1e-9
 
@@ -102,7 +102,7 @@ def test_cauchy_binet_example(example_hermitian):
 def test_cauchy_binet_zero_B(example_hermitian):
     spec = right_eigenvalues(example_hermitian)
     shifted = validate_hermitian(
-        _lambda_shift(example_hermitian.inner, spec[1]))
+        lambda_shift(example_hermitian.inner, spec[1]))
     assert cauchy_binet_residual(shifted, zeros(2, 1)) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -111,7 +111,7 @@ def test_cauchy_binet_random():
     for _ in range(5):
         H = random_hermitian(3, rng)
         lam = right_eigenvalues(H)[2]
-        shifted = validate_hermitian(_lambda_shift(H.inner, lam))
+        shifted = validate_hermitian(lambda_shift(H.inner, lam))
         B = random_qmatrix(3, 2, rng)
         assert cauchy_binet_residual(shifted, B) < 1e-8
 
@@ -121,6 +121,6 @@ def test_cauchy_binet_requires_singular(example_hermitian):
         cauchy_binet_residual(example_hermitian, QMatrix([[0], [1]]))
     spec = right_eigenvalues(example_hermitian)
     shifted = validate_hermitian(
-        _lambda_shift(example_hermitian.inner, spec[0]))
+        lambda_shift(example_hermitian.inner, spec[0]))
     with pytest.raises(DimensionMismatch):
         cauchy_binet_residual(shifted, zeros(2))

@@ -7,7 +7,7 @@ import pytest
 from qeei import (QMatrix, det, det_invariance_check, identity, matmul, qadj,
                   right_eigenvalues, row_expansion, validate_hermitian)
 from qeei.errors import ComplexityLimit, IndexOutOfRange, NotSquare
-from qeei.qdet import CycleDecomposition
+from qeei.qdet import permutation_terms
 from qeei.quat import I, J, K, Quaternion
 from qeei.random_matrices import random_hermitian
 
@@ -59,6 +59,15 @@ def test_row_expansion_1x1():
     assert row_expansion(QMatrix([[q]])) == q
 
 
+def terms_by_perm(n, order):
+    """perm -> (sign, 1-based factor rows), read back from the cells."""
+    out = {}
+    for sign, cells in permutation_terms(n, order):
+        perm = tuple(c for _, c in sorted(cells))
+        out[perm] = (sign, [r + 1 for r, _ in cells])
+    return out
+
+
 def test_row_expansion_chain_order_4x4():
     # factor rows and signs of the known 4x4 expansion terms
     cases = [
@@ -69,27 +78,38 @@ def test_row_expansion_chain_order_4x4():
         ((1, 0, 3, 2), [1, 2, 3, 4], 1),   # a12 a21 a34 a43
         ((3, 2, 1, 0), [1, 4, 2, 3], 1),   # a14 a41 a23 a32
     ]
+    terms = terms_by_perm(4, "row")
     for perm, rows, sign in cases:
-        decomp = CycleDecomposition.row_expansion_form(perm)
-        assert decomp.factor_rows() == rows
-        assert decomp.sign == sign
+        assert terms[perm] == (sign, rows)
 
 
 def test_det_normal_form_descending_leaders():
-    decomp = CycleDecomposition.det_normal_form((1, 0, 2))
-    assert decomp.cycles == ((3,), (2, 1))
-    assert decomp.sign == -1
-    assert decomp.factor_rows() == [3, 2, 1]
+    # cycles (3)(2 1): each led by its largest row, leaders descending
+    assert terms_by_perm(3, "det")[(1, 0, 2)] == (-1, [3, 2, 1])
 
 
 def test_cycle_cover_and_sign():
     for n in (3, 4):
-        for perm in itertools.permutations(range(n)):
-            for form in (CycleDecomposition.det_normal_form,
-                         CycleDecomposition.row_expansion_form):
-                decomp = form(perm)
-                assert sorted(decomp.factor_rows()) == list(range(1, n + 1))
-                assert decomp.sign in (-1, 1)
+        for order in ("det", "row"):
+            for sign, cells in permutation_terms(n, order):
+                assert sorted(r for r, _ in cells) == list(range(n))
+                perm = [c for _, c in sorted(cells)]
+                inversions = sum(perm[a] > perm[b] for a in range(n)
+                                 for b in range(a + 1, n))
+                assert sign == (-1) ** inversions
+
+
+def test_permutation_terms_cover_every_row_and_column_once():
+    for n in range(1, 6):
+        for order in ("det", "row"):
+            terms = list(permutation_terms(n, order))
+            assert len(terms) == math.factorial(n)
+            perms = set()
+            for _, cells in terms:
+                assert sorted(r for r, _ in cells) == list(range(n))
+                assert sorted(c for _, c in cells) == list(range(n))
+                perms.add(tuple(c for _, c in sorted(cells)))
+            assert perms == set(itertools.permutations(range(n)))
 
 
 def test_term_count_is_factorial():
