@@ -103,8 +103,12 @@ def base_report(args, echo, digest, tol):
 
 
 def residual_scale(A: QMatrix) -> float:
-    """Residual comparisons scale with 1 + ||A||_inf ** n."""
-    return 1.0 + A.norm_inf() ** A.n_rows
+    """Residual comparisons scale with 1 + ||A||_inf ** n; inf on overflow,
+    which `within` treats as a violation."""
+    try:
+        return 1.0 + A.norm_inf() ** A.n_rows
+    except OverflowError:
+        return math.inf
 
 
 def within(values, bound):

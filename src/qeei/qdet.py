@@ -17,7 +17,10 @@ Hermitian H.
 
 from __future__ import annotations
 
+import functools
 import itertools
+
+import numpy as np
 
 from . import qmatrix
 from .errors import ComplexityLimit, IndexOutOfRange, NotSquare
@@ -47,20 +50,54 @@ def permutation_terms(n, order):
         yield (-1 if (n - n_cycles) % 2 else 1), cells
 
 
+@functools.lru_cache(maxsize=None)
+def _term_table(n, order):
+    """(signs, cells) for permutation_terms(n, order), read-only: signs is a
+    float (n!,) array; cells[k, t] is the flat index r*n + c of term t's
+    k-th factor, uint8 because n * n <= 64."""
+    signs, cells = [], []
+    for sign, term in permutation_terms(n, order):
+        signs.append(sign)
+        cells.append([r * n + c for r, c in term])
+    signs = np.array(signs, dtype=float)
+    cells = np.array(cells, dtype=np.uint8).T.copy()
+    signs.flags.writeable = False
+    cells.flags.writeable = False
+    return signs, cells
+
+
 def _permutation_sum(A: QMatrix, order):
+    """All n! terms as one batched Hamilton product.
+
+    Each term starts at (sign, 0, 0, 0) and takes its factors with the
+    expression order of Quaternion.__mul__, and the terms are added one
+    after another from 0 (cumsum, not the pairwise np.sum), so the result
+    is bit-identical to multiplying and adding Quaternion objects in a loop.
+    """
     n = A.n_rows
     if not A.is_square():
         raise NotSquare(f"determinant needs a square matrix, got {A.shape}")
     if n > MAX_FACTORIAL_DIM:
         raise ComplexityLimit(
             f"n = {n} exceeds the factorial-sum cap n <= {MAX_FACTORIAL_DIM}")
-    total = Quaternion()
-    for sign, cells in permutation_terms(n, order):
-        term = Quaternion(float(sign))
-        for r, c in cells:
-            term = term * A.rows[r][c]
-        total = total + term
-    return total
+    signs, cells = _term_table(n, order)
+    entries = np.array([a.components() for row in A.rows for a in row],
+                       dtype=float).T
+    zero = np.zeros_like(signs)
+    w1, x1, y1, z1 = signs, zero, zero, zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        for factor in cells:
+            w2, x2, y2, z2 = entries[:, factor]
+            w1, x1, y1, z1 = (
+                w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+            )
+        terms = np.zeros((4, len(signs) + 1))
+        terms[:, 1:] = w1, x1, y1, z1
+        total = np.cumsum(terms, axis=1)[:, -1]
+    return Quaternion(*total.tolist())
 
 
 def det(A: QMatrix) -> Quaternion:

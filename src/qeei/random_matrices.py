@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import eigen
+from .errors import DegenerateEigenvalue
 from .qmatrix import HermitianQMatrix, QMatrix, validate_hermitian
 from .quat import Quaternion
 
@@ -36,4 +37,5 @@ def random_hermitian_gapped(n, rng, min_gap=1e-3, max_tries=200) -> HermitianQMa
         values = eigen.right_eigenvalues(A).values
         if n == 1 or min(b - a for a, b in zip(values, values[1:])) > min_gap:
             return A
-    raise RuntimeError(f"no gap-{min_gap:g} Hermitian matrix in {max_tries} draws")
+    raise DegenerateEigenvalue(
+        f"no gap-{min_gap:g} Hermitian matrix in {max_tries} draws")

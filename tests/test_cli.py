@@ -159,6 +159,30 @@ def test_non_finite_eigenvector_is_not_ok(tmp_path, capsys):
     assert code == 4 and report is None
 
 
+def huge_entry_file(tmp_path):
+    # finite entries, but ||A||_inf ** n overflows a float
+    zero = [[0.0] * 3 for _ in range(3)]
+    doc = {"n": 3, "re": [[1e120, 0.5, 0.1], [0.5, 2.0, 0.3], [0.1, 0.3, -1.0]],
+           "im_i": zero, "im_j": zero, "im_k": zero}
+    return write_doc(tmp_path, "huge120.json", doc)
+
+
+def test_overflowing_residual_scale_is_a_violation(tmp_path, capsys):
+    code = cli.main(["--format", "json", "vec", huge_entry_file(tmp_path),
+                     "--index", "3"])
+    out, err = capsys.readouterr()
+    assert code == 7 and json.loads(out)["status"] == "violation"
+    assert err == ""
+
+
+def test_overflowing_residual_scale_verify_exit(tmp_path, capsys):
+    # the default simple_tol scales with the spectral range, so lambda_1
+    # and lambda_2 count as degenerate
+    assert cli.main(["verify", huge_entry_file(tmp_path)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_non_finite_residual_is_a_violation(example_file, capsys, monkeypatch):
     real = eigen.eigenvector_from_qadj
 

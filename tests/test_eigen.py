@@ -238,6 +238,12 @@ def test_solve_gives_the_matrix_route_results():
             assert eei_modulus(solve, i, j) == eei_modulus(H, i, j)
 
 
+def test_gapped_draw_failure_is_a_qeei_error():
+    with pytest.raises(DegenerateEigenvalue):
+        random_hermitian_gapped(3, np.random.default_rng(24), min_gap=1e9,
+                                max_tries=2)
+
+
 def test_eigenvector_solves_once(monkeypatch):
     H = random_hermitian_gapped(4, np.random.default_rng(22))
     eigs = count_calls(monkeypatch, eigen, "symmetric_eig")

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from qeei import (QMatrix, det, det_invariance_check, identity, matmul, qadj,
-                  right_eigenvalues, row_expansion, validate_hermitian)
+from qeei import (QMatrix, det, det_invariance_check, eigenvector_from_qadj,
+                  identity, matmul, qadj, right_eigenvalues, row_expansion,
+                  validate_hermitian)
+from qeei import qdet
 from qeei.errors import ComplexityLimit, IndexOutOfRange, NotSquare
 from qeei.qdet import permutation_terms
 from qeei.quat import I, J, K, Quaternion
-from qeei.random_matrices import random_hermitian
+from qeei.random_matrices import (random_hermitian, random_hermitian_gapped,
+                                  random_qmatrix)
 
-from conftest import SQRT13, U
+from conftest import SQRT13, U, count_calls
 
 
 def diag(*values):
@@ -194,3 +197,93 @@ def test_det_invariance(example_hermitian):
         assert det_invariance_check(H, int(k), int(j), lam) < 1e-9
     with pytest.raises(IndexOutOfRange):
         det_invariance_check(example_hermitian, 1, 1, I)
+
+
+# ------------------------------------------- the scalar loop as the oracle
+
+def scalar_permutation_sum(A, order):
+    """The sum one Quaternion product at a time, in permutation order."""
+    total = Quaternion()
+    for sign, cells in permutation_terms(A.n_rows, order):
+        term = Quaternion(float(sign))
+        for r, c in cells:
+            term = term * A.rows[r][c]
+        total = total + term
+    return total
+
+
+def assert_same_bits(got, want):
+    """Component-for-component equal, signed zeros and NaN positions included."""
+    for g, w in zip(got.components(), want.components()):
+        if math.isnan(w):
+            assert math.isnan(g)
+        else:
+            assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+
+
+def assert_matches_scalar(A):
+    assert_same_bits(det(A), scalar_permutation_sum(A, "det"))
+    assert_same_bits(row_expansion(A), scalar_permutation_sum(A, "row"))
+
+
+def test_batched_sums_equal_the_scalar_loop():
+    rng = np.random.default_rng(31)
+    for n in range(1, 8):
+        for _ in range(3 if n < 7 else 1):
+            assert_matches_scalar(random_qmatrix(n, n, rng))
+
+
+def test_batched_sums_keep_signed_zeros():
+    z = Quaternion(-0.0, -0.0, -0.0, -0.0)
+    assert_matches_scalar(QMatrix([[Quaternion(-0.0)]]))
+    assert_matches_scalar(diag(1, Quaternion(-0.0)))
+    assert_matches_scalar(QMatrix([[z, I], [Quaternion(-0.0, 2.0), z]]))
+    assert_matches_scalar(QMatrix([[z if p == q else Quaternion(-0.0, 0.0, -1.0)
+                                    for q in range(4)] for p in range(4)]))
+
+
+def test_batched_sums_overflow_like_the_scalar_loop():
+    big = Quaternion(1e300, -1e300, 2.0, 1e300)
+    A = QMatrix([[big, Quaternion(1e300), I], [J, big.conj(), K],
+                 [Quaternion(0.5, 1e300), K, big]])
+    assert any(math.isnan(c) for c in scalar_permutation_sum(A, "row").components())
+    assert_matches_scalar(A)
+    # 0 * inf is NaN, so the zero components of the starting (sign, 0, 0, 0)
+    # must take part in the first product
+    assert_matches_scalar(QMatrix([[Quaternion(math.inf), I], [J, K]]))
+
+
+# ------------------------------------------------- what pins the kernel
+
+def test_row_expansion_makes_no_quaternion_products(monkeypatch):
+    A = random_qmatrix(6, 6, np.random.default_rng(32))
+    products = count_calls(monkeypatch, Quaternion, "__mul__")
+    row_expansion(A)
+    assert products == []
+
+
+def test_term_table_is_built_once_per_size_and_order(monkeypatch):
+    qdet._term_table.cache_clear()
+    builds = count_calls(monkeypatch, qdet, "permutation_terms")
+    A = random_qmatrix(5, 5, np.random.default_rng(33))
+    for _ in range(2):
+        det(A)
+        row_expansion(A)
+    assert builds == [(5, "det"), (5, "row")]
+    signs, cells = qdet._term_table(5, "row")
+    assert signs.shape == (120,) and cells.shape == (5, 120)
+    assert cells.dtype == np.uint8
+
+
+def test_complexity_limit_builds_no_table(monkeypatch):
+    tables = count_calls(monkeypatch, qdet, "_term_table")
+    with pytest.raises(ComplexityLimit):
+        det(QMatrix([[1] * 9 for _ in range(9)]))
+    assert tables == []
+
+
+def test_eigenvector_at_7_expands_49_minors_of_size_6(monkeypatch):
+    H = random_hermitian_gapped(7, np.random.default_rng(34))
+    expansions = count_calls(monkeypatch, qdet, "row_expansion")
+    eigenvector_from_qadj(H, 4)
+    assert [A.shape for (A,) in expansions] == [(6, 6)] * 49
