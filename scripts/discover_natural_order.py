@@ -20,7 +20,9 @@ def required_row_expansions(H):
     """required[(i, j)] = value |H_ij|^row must take (1-based)."""
     n = H.n_rows
     d = qdet.det(H)
-    Hinv = qmatrix.from_real_lift(np.linalg.inv(qmatrix.real_lift(H)))
+    # the first block row of the inverse lift holds inv(H)'s components
+    inv_lift = np.linalg.inv(qmatrix.real_lift(H))
+    Hinv = qmatrix.from_components(*np.split(inv_lift[:n], 4, axis=1))
     req = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):

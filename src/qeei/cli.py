@@ -86,10 +86,8 @@ def load_matrix_file(path):
 
 
 def matrix_to_doc(A: QMatrix):
-    comps = A.components()
-    return {"n": A.n_rows,
-            "re": comps[0].tolist(), "im_i": comps[1].tolist(),
-            "im_j": comps[2].tolist(), "im_k": comps[3].tolist()}
+    re, im_i, im_j, im_k = A.data.tolist()
+    return {"n": A.n_rows, "re": re, "im_i": im_i, "im_j": im_j, "im_k": im_k}
 
 
 def base_report(args, echo, digest, tol):
@@ -124,10 +122,6 @@ def emit(report, fmt, text_lines):
             print(line)
 
 
-def quat_components(q):
-    return [q.w, q.x, q.y, q.z]
-
-
 def cmd_eig(args, tol, fmt):
     A, echo, digest = load_matrix_file(args.file)
     H = qmatrix.validate_hermitian(A)
@@ -149,7 +143,7 @@ def cmd_vec(args, tol, fmt):
     report["eigenpairs"] = [{
         "index": args.index,
         "lambda": pair.lam,
-        "vector": [quat_components(a) for (a,) in pair.vector.rows],
+        "vector": pair.vector.data[:, :, 0].T.tolist(),
         "pivot_index": pair.pivot_index,
         "residual": pair.residual,
         "norm_dev": pair.norm_dev,
@@ -170,7 +164,7 @@ def cmd_det(args, tol, fmt):
     A, echo, digest = load_matrix_file(args.file)
     value = qdet.det(A)
     report = base_report(args, echo, digest, tol)
-    report["det"] = quat_components(value)
+    report["det"] = list(value.components())
     emit(report, fmt, [f"det = {value}"])
     return EXIT_OK
 
@@ -218,7 +212,8 @@ def cmd_verify(args, tol, fmt):
     det_vs_product = (dA - prod).modulus()
 
     pairs = [eigen.eigenvector_from_qadj(solve, i) for i in range(1, n + 1)]
-    V = QMatrix([[pairs[q].vector[p, 0] for q in range(n)] for p in range(n)])
+    V = QMatrix.from_data(np.concatenate([pair.vector.data for pair in pairs],
+                                         axis=2))
     gram = qmatrix.matmul(qmatrix.conj_transpose(V), V)
     unitarity = (gram - qmatrix.identity(n)).norm_inf()
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qdet, qmatrix
-from .quat import Quaternion
 from .errors import (DegenerateEigenvalue, GroupingFailure, IdentityViolation,
                      IndexOutOfRange, NoConvergence, NotSymmetric, PivotFailure)
 from .qmatrix import HermitianQMatrix, QMatrix
@@ -87,7 +86,8 @@ def symmetric_eig(S):
 
     A = 0.5 * (S + S.T)
     V = np.eye(n)
-    fnorm = np.linalg.norm(A)
+    with np.errstate(over="ignore"):  # a huge entry gives fnorm = inf
+        fnorm = np.linalg.norm(A)
     if fnorm == 0.0 or n == 1:
         return np.diag(A).copy(), V
 
@@ -171,16 +171,21 @@ def require_simple(spectrum: Spectrum, i: int, simple_tol=None) -> float:
     return simple_tol
 
 
+@qmatrix.quiet
 def lambda_shift(A: QMatrix, lam: float) -> QMatrix:
-    """lam * E - A."""
-    n = A.n_rows
-    return QMatrix([[Quaternion(lam) - A[p, q] if p == q else -A[p, q]
-                     for q in range(n)] for p in range(n)])
+    """lam * E - A: (lam - w, 0.0 - x, 0.0 - y, 0.0 - z) on the diagonal,
+    the negated entry off it."""
+    data = -A.data
+    d = np.arange(A.n_rows)
+    data[:, d, d] = np.array([[lam], [0.0], [0.0], [0.0]]) - A.data[:, d, d]
+    return QMatrix.from_data(data)
 
 
+@qmatrix.quiet
 def vector_norm(v: QMatrix) -> float:
-    """Euclidean norm over all entries."""
-    return math.sqrt(sum(a.norm_sq() for row in v.rows for a in row))
+    """Euclidean norm over all entries (squares added one after another)."""
+    w, x, y, z = v.data
+    return math.sqrt(sum((w * w + x * x + y * y + z * z).ravel().tolist()))
 
 
 def residual(A: QMatrix, v: QMatrix, lam: float) -> float:
@@ -247,19 +252,16 @@ class HermitianSolve:
         Q = self.adjugate(i)
 
         # diagonal of Q is c * |v_m|^2; pick the dominant component
-        weights = [Q[m, m].w / c for m in range(n)]
+        weights = [w / c for w in Q.data[0].diagonal().tolist()]
         m = max(range(n), key=lambda t: weights[t])
         if not all(map(math.isfinite, weights)) or weights[m] < 1e-12:
             raise PivotFailure("no finite, usable diagonal pivot in qadj "
                                "(rank-one structure lost)")
         vm = math.sqrt(weights[m])
-        comps = []
-        for p in range(n):
-            if p == m:
-                comps.append([Quaternion(vm)])
-            else:
-                comps.append([Q[p, m] * (1.0 / (vm * c))])
-        v = QMatrix(comps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            column = Q.data[:, :, m] * (1.0 / (vm * c))
+        column[:, m] = (vm, 0.0, 0.0, 0.0)
+        v = QMatrix.from_data(column[:, :, None])
         return EigenPair(lam, v, m + 1, residual(self.A.inner, v, lam),
                          abs(vector_norm(v) - 1.0))
 
@@ -313,5 +315,6 @@ def verify_outer_product(A, i: int, simple_tol=None) -> float:
     v = solve.eigenpair(i).vector
     outer = qmatrix.matmul(v, qmatrix.conj_transpose(v))
     c = solve.gap_product(i)
-    scaled = QMatrix([[a * c for a in row] for row in outer.rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = QMatrix.from_data(outer.data * c)
     return (solve.adjugate(i) - scaled).norm_inf()

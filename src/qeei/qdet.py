@@ -24,7 +24,7 @@ import numpy as np
 
 from . import qmatrix
 from .errors import ComplexityLimit, IndexOutOfRange, NotSquare
-from .quat import Quaternion, _coerce
+from .quat import Quaternion, _coerce, hamilton
 from .qmatrix import HermitianQMatrix, QMatrix, natural_submatrix
 
 MAX_FACTORIAL_DIM = 8
@@ -66,13 +66,15 @@ def _term_table(n, order):
     return signs, cells
 
 
+@qmatrix.quiet
 def _permutation_sum(A: QMatrix, order):
     """All n! terms as one batched Hamilton product.
 
-    Each term starts at (sign, 0, 0, 0) and takes its factors with the
-    expression order of Quaternion.__mul__, and the terms are added one
-    after another from 0 (cumsum, not the pairwise np.sum), so the result
-    is bit-identical to multiplying and adding Quaternion objects in a loop.
+    Each term starts at (sign, 0, 0, 0) and takes its factors through
+    quat.hamilton, the product behind Quaternion.__mul__, and the terms
+    are added one after another from 0 (cumsum, not the pairwise np.sum),
+    so the result is bit-identical to multiplying and adding Quaternion
+    objects in a loop.
     """
     n = A.n_rows
     if not A.is_square():
@@ -81,22 +83,14 @@ def _permutation_sum(A: QMatrix, order):
         raise ComplexityLimit(
             f"n = {n} exceeds the factorial-sum cap n <= {MAX_FACTORIAL_DIM}")
     signs, cells = _term_table(n, order)
-    entries = np.array([a.components() for row in A.rows for a in row],
-                       dtype=float).T
+    entries = A.data.reshape(4, -1)
     zero = np.zeros_like(signs)
-    w1, x1, y1, z1 = signs, zero, zero, zero
-    with np.errstate(over="ignore", invalid="ignore"):
-        for factor in cells:
-            w2, x2, y2, z2 = entries[:, factor]
-            w1, x1, y1, z1 = (
-                w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-                w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-                w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-            )
-        terms = np.zeros((4, len(signs) + 1))
-        terms[:, 1:] = w1, x1, y1, z1
-        total = np.cumsum(terms, axis=1)[:, -1]
+    term = (signs, zero, zero, zero)
+    for factor in cells:
+        term = hamilton(term, entries[:, factor])
+    terms = np.zeros((4, len(signs) + 1))
+    terms[:, 1:] = term
+    total = np.cumsum(terms, axis=1)[:, -1]
     return Quaternion(*total.tolist())
 
 
@@ -141,9 +135,8 @@ def det_invariance_check(H: HermitianQMatrix, k: int, j: int, lam) -> float:
         raise IndexOutOfRange(f"indices ({k},{j}) outside 1..{n}")
     if j == k:
         raise IndexOutOfRange("column shear needs j != k")
-    lam = _coerce(lam)
-    P = [[Quaternion(1.0 if p == q else 0.0) for q in range(n)] for p in range(n)]
-    P[j - 1][k - 1] = lam
-    P = QMatrix(P)
+    shear = qmatrix.identity(n).data.copy()
+    shear[:, j - 1, k - 1] = _coerce(lam).components()
+    P = QMatrix.from_data(shear)
     sheared = qmatrix.matmul(qmatrix.conj_transpose(P), qmatrix.matmul(H.inner, P))
     return (det(sheared) - det(H.inner)).modulus()

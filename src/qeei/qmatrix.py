@@ -1,24 +1,30 @@
 """Dense quaternion matrices and the 4n x 4n real lift.
 
-Matrices are immutable after construction.  Raw element access uses
-Python's 0-based indexing; the operations that mirror textbook notation
-(minor, natural_submatrix) take 1-based indices, as does the CLI.
+A matrix is one read-only float array of shape (4, m, n), the w, x, y and
+z component matrices.  Raw element access uses Python's 0-based indexing;
+the operations that mirror textbook notation (minor, natural_submatrix)
+take 1-based indices, as does the CLI.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotHermitian, NotSquare
-from .quat import Quaternion, _coerce
+from .quat import Quaternion, _coerce, hamilton
+
+# decorator: overflow and inf - inf give inf/NaN silently, as Python floats do
+quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 class QMatrix:
-    """Row-major dense matrix over the quaternions."""
+    """Dense matrix over the quaternions; data[c, p, q] is component c
+    (w, x, y, z) of entry (p, q)."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("data",)
 
     def __init__(self, rows):
         if not rows or not rows[0]:
@@ -27,71 +33,86 @@ class QMatrix:
         for row in rows:
             if len(row) != width:
                 raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "rows",
-                           tuple(tuple(_coerce(v) for v in row) for row in rows))
+        entries = [[_coerce(v).components() for v in row] for row in rows]
+        self._set(np.moveaxis(np.array(entries, dtype=float), -1, 0))
+
+    @classmethod
+    def from_data(cls, data) -> "QMatrix":
+        """Wrap a (4, m, n) component array (copied, then read-only)."""
+        A = cls.__new__(cls)
+        A._set(data)
+        return A
+
+    def _set(self, data):
+        data = np.array(data, dtype=float)
+        if data.ndim != 3 or data.shape[0] != 4 or 0 in data.shape:
+            raise DimensionMismatch(
+                f"expected a non-empty (4, m, n) component array, got {data.shape}")
+        data.flags.writeable = False
+        self.data = data
+
+    @property
+    def rows(self):
+        """The entries as a tuple of row tuples of Quaternion."""
+        return tuple(tuple(Quaternion(*a) for a in row)
+                     for row in np.moveaxis(self.data, 0, -1).tolist())
 
     @property
     def n_rows(self):
-        return len(self.rows)
+        return self.data.shape[1]
 
     @property
     def n_cols(self):
-        return len(self.rows[0])
+        return self.data.shape[2]
 
     @property
     def shape(self):
-        return (self.n_rows, self.n_cols)
+        return self.data.shape[1:]
 
     def is_square(self):
         return self.n_rows == self.n_cols
 
     def __getitem__(self, pq):
         p, q = pq
-        return self.rows[p][q]
+        return Quaternion(*self.data[:, p, q].tolist())
 
     def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.rows == other.rows
+        return (isinstance(other, QMatrix) and self.shape == other.shape
+                and bool(np.array_equal(self.data, other.data)))
 
     def __hash__(self):
-        return hash(self.rows)
+        # float hashing keeps hash(0.0) == hash(-0.0), as == does
+        return hash((self.shape, *self.data.ravel().tolist()))
 
+    @quiet
     def __add__(self, other):
         if self.shape != other.shape:
             raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
-        return QMatrix([[a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.rows, other.rows)])
+        return QMatrix.from_data(self.data + other.data)
 
+    @quiet
     def __sub__(self, other):
         if self.shape != other.shape:
             raise DimensionMismatch(f"sub {self.shape} vs {other.shape}")
-        return QMatrix([[a - b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.rows, other.rows)])
+        return QMatrix.from_data(self.data - other.data)
 
     def __neg__(self):
-        return QMatrix([[-a for a in row] for row in self.rows])
+        return QMatrix.from_data(-self.data)
 
+    @quiet
     def norm_inf(self):
-        """Max entry modulus."""
-        return max(a.modulus() for row in self.rows for a in row)
-
-    def column(self, q):
-        return [row[q] for row in self.rows]
+        """Max entry modulus, a Python float."""
+        w, x, y, z = self.data
+        return math.sqrt(np.max(w * w + x * x + y * y + z * z))
 
     def components(self):
-        """Split into the four real component matrices (A0, A1, A2, A3)."""
-        comps = [np.empty(self.shape) for _ in range(4)]
-        for p, row in enumerate(self.rows):
-            for q, a in enumerate(row):
-                comps[0][p, q] = a.w
-                comps[1][p, q] = a.x
-                comps[2][p, q] = a.y
-                comps[3][p, q] = a.z
-        return tuple(comps)
+        """The four real component matrices (A0, A1, A2, A3), read-only."""
+        return tuple(self.data)
 
+    @quiet
     def isclose(self, other, tol=1e-10):
         return (self.shape == other.shape
-                and all(a.isclose(b, tol) for ra, rb in zip(self.rows, other.rows)
-                        for a, b in zip(ra, rb)))
+                and bool(np.all(np.abs(self.data - other.data) <= tol)))
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(a) for a in row) + "]"
@@ -116,12 +137,13 @@ class HermitianQMatrix:
 
 def zeros(n_rows, n_cols=None):
     n_cols = n_rows if n_cols is None else n_cols
-    return QMatrix([[Quaternion()] * n_cols for _ in range(n_rows)])
+    return QMatrix.from_data(np.zeros((4, n_rows, n_cols)))
 
 
 def identity(n):
-    return QMatrix([[Quaternion(1.0 if p == q else 0.0) for q in range(n)]
-                    for p in range(n)])
+    data = np.zeros((4, n, n))
+    data[0] = np.eye(n)
+    return QMatrix.from_data(data)
 
 
 def from_components(A0, A1, A2, A3):
@@ -129,67 +151,55 @@ def from_components(A0, A1, A2, A3):
     mats = [np.asarray(m, dtype=float) for m in (A0, A1, A2, A3)]
     if any(m.shape != mats[0].shape for m in mats) or mats[0].ndim != 2:
         raise DimensionMismatch("component matrices must share an m x n shape")
-    m, n = mats[0].shape
-    return QMatrix([[Quaternion(mats[0][p, q], mats[1][p, q],
-                                mats[2][p, q], mats[3][p, q])
-                     for q in range(n)] for p in range(m)])
+    return QMatrix.from_data(np.stack(mats))
 
 
+@quiet
 def matmul(A: QMatrix, B: QMatrix) -> QMatrix:
+    """Entry (p, q) adds the products A[p, k] B[k, q] one k after another
+    from 0, as a loop over Quaternion objects would."""
     if A.n_cols != B.n_rows:
         raise DimensionMismatch(f"matmul {A.shape} x {B.shape}")
-    Bt = list(zip(*B.rows))
-    out = []
-    for row in A.rows:
-        out.append([_dot(row, col) for col in Bt])
-    return QMatrix(out)
-
-
-def _dot(row, col):
-    acc = Quaternion()
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc
+    out = np.zeros((4, A.n_rows, B.n_cols))
+    for k in range(A.n_cols):
+        out = out + np.array(hamilton(A.data[:, :, k, None], B.data[:, None, k]))
+    return QMatrix.from_data(out)
 
 
 def conj_transpose(A: QMatrix) -> QMatrix:
-    return QMatrix([[A[p, q].conj() for p in range(A.n_rows)]
-                    for q in range(A.n_cols)])
+    t = A.data.transpose(0, 2, 1)
+    return QMatrix.from_data(np.concatenate((t[:1], -t[1:])))
 
 
+@quiet
 def scale_right(v: QMatrix, q) -> QMatrix:
     """Entrywise right multiplication by q (order matters)."""
-    q = _coerce(q)
-    return QMatrix([[a * q for a in row] for row in v.rows])
+    return QMatrix.from_data(hamilton(v.data, _coerce(q).components()))
 
 
+@quiet
 def scale_left(q, v: QMatrix) -> QMatrix:
-    q = _coerce(q)
-    return QMatrix([[q * a for a in row] for row in v.rows])
+    return QMatrix.from_data(hamilton(_coerce(q).components(), v.data))
 
 
+@quiet
 def validate_hermitian(A: QMatrix, tol_factor=1e-12) -> HermitianQMatrix:
-    """Certify A = A*; tolerance scales with the largest entry modulus."""
+    """Certify A = A*; tolerance scales with the largest entry modulus.
+    Reports the first pair p <= q (row by row) with the largest deviation;
+    a NaN deviation (from a non-finite entry) is never within tolerance."""
     if not A.is_square():
         raise NotSquare(f"Hermitian validation needs a square matrix, got {A.shape}")
     tol = tol_factor * (1.0 + A.norm_inf())
-    worst = (0.0, 0, 0)
-    for p in range(A.n_rows):
-        for q in range(p, A.n_cols):
-            dev = _deviation(A[p, q], A[q, p].conj())
-            if dev > worst[0]:
-                worst = (dev, p, q)
-    if worst[0] > tol:
-        dev, p, q = worst
+    deviation = np.max(np.abs(A.data - conj_transpose(A).data), axis=0)
+    rows, cols = np.triu_indices(A.n_rows)
+    k = int(np.argmax(deviation[rows, cols]))
+    dev, p, q = float(deviation[rows[k], cols[k]]), int(rows[k]), int(cols[k])
+    if not dev <= tol:
         raise NotHermitian(
             f"entries ({p + 1},{q + 1})/({q + 1},{p + 1}) break A = A* "
             f"by {dev:.3e} (tol {tol:.3e})",
             row=p + 1, col=q + 1, deviation=dev)
     return HermitianQMatrix(A)
-
-
-def _deviation(a: Quaternion, b: Quaternion) -> float:
-    return max(abs(x - y) for x, y in zip(a.components(), b.components()))
 
 
 def minor(A: HermitianQMatrix, j: int) -> HermitianQMatrix:
@@ -200,8 +210,7 @@ def minor(A: HermitianQMatrix, j: int) -> HermitianQMatrix:
     if not 1 <= j <= n:
         raise IndexOutOfRange(f"minor index {j} outside 1..{n}")
     keep = [p for p in range(n) if p != j - 1]
-    sub = QMatrix([[A.inner[p, q] for q in keep] for p in keep])
-    return HermitianQMatrix(sub)
+    return HermitianQMatrix(QMatrix.from_data(A.inner.data[:, keep][:, :, keep]))
 
 
 def natural_submatrix(A: QMatrix, i: int, j: int) -> QMatrix:
@@ -225,7 +234,8 @@ def natural_submatrix(A: QMatrix, i: int, j: int) -> QMatrix:
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"indices ({i},{j}) outside 1..{n}")
     row_order, col_order = natural_orders(n, i, j)
-    return QMatrix([[A[r - 1, c - 1] for c in col_order] for r in row_order])
+    rows, cols = np.subtract(row_order, 1), np.subtract(col_order, 1)
+    return QMatrix.from_data(A.data[:, rows[:, None], cols])
 
 
 def natural_orders(n, i, j):
@@ -240,7 +250,7 @@ def natural_orders(n, i, j):
 
 def real_lift(A: QMatrix) -> np.ndarray:
     """The 4n x 4n real block representation; a multiplicative homomorphism."""
-    A0, A1, A2, A3 = A.components()
+    A0, A1, A2, A3 = A.data
     return np.block([
         [A0, A1, A2, A3],
         [-A1, A0, -A3, A2],
@@ -248,12 +258,3 @@ def real_lift(A: QMatrix) -> np.ndarray:
         [-A3, -A2, A1, A0],
     ])
 
-
-def from_real_lift(L: np.ndarray) -> QMatrix:
-    """Inverse of real_lift on its image (reads the first block row)."""
-    m = L.shape[0]
-    if L.ndim != 2 or L.shape[1] != m or m % 4:
-        raise DimensionMismatch("lift must be square with side divisible by 4")
-    n = m // 4
-    return from_components(L[:n, :n], L[:n, n:2 * n],
-                           L[:n, 2 * n:3 * n], L[:n, 3 * n:])

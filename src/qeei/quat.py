@@ -49,14 +49,7 @@ class Quaternion:
         if isinstance(other, (int, float)):
             return Quaternion(self.w * other, self.x * other,
                               self.y * other, self.z * other)
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        return Quaternion(*hamilton(self.components(), other.components()))
 
     def __rmul__(self, other):
         # only reals reach here; they commute
@@ -107,6 +100,19 @@ ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
+
+
+def hamilton(a, b):
+    """Hamilton product of two (w, x, y, z) quadruples of floats or
+    broadcasting arrays (a (4, ...) array unpacks along its first axis)."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
 
 
 def _coerce(value) -> Quaternion:

@@ -9,6 +9,7 @@ import pytest
 
 from qeei import cli, eigen, qdet
 from qeei.qmatrix import from_components
+from qeei.quat import Quaternion
 from qeei.random_matrices import random_hermitian_gapped
 
 from conftest import SQRT13, count_calls
@@ -148,15 +149,28 @@ def test_bool_n_exit(tmp_path, capsys):
     assert cli.main(["eig", write_doc(tmp_path, "booln.json", doc)]) == 2
 
 
-def test_non_finite_eigenvector_is_not_ok(tmp_path, capsys):
+def huge_pivot_file(tmp_path):
     # 1e300 overflows the shifted adjugate; the vector would be all NaN
     zero = [[0.0] * 3 for _ in range(3)]
     doc = {"n": 3, "re": [[1e300, 0.5, 0.1], [0.5, 2.0, 0.3], [0.1, 0.3, -1.0]],
            "im_i": zero, "im_j": zero, "im_k": zero}
-    path = write_doc(tmp_path, "huge.json", doc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, report = run_json(capsys, ["vec", path, "--index", "3"])
-    assert code == 4 and report is None
+    return write_doc(tmp_path, "huge.json", doc)
+
+
+def test_non_finite_eigenvector_is_not_ok(tmp_path, capsys):
+    code = cli.main(["--format", "json", "vec", huge_pivot_file(tmp_path),
+                     "--index", "3"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    # the overflow stays silent: the error line is all of stderr
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_huge_entry_spectrum_prints_no_warning(tmp_path, capsys):
+    code = cli.main(["--format", "json", "eig", huge_pivot_file(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    assert err == ""
 
 
 def huge_entry_file(tmp_path):
@@ -202,10 +216,13 @@ def test_verify_solves_each_matrix_once(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, "gapped.json", cli.matrix_to_doc(H.inner))
     eigs = count_calls(monkeypatch, eigen, "symmetric_eig")
     adjs = count_calls(monkeypatch, qdet, "qadj")
+    products = count_calls(monkeypatch, Quaternion, "__mul__")
     code, report = run_json(capsys, ["verify", path])
     assert code == 0 and report["status"] == "ok"
     # one spectrum and four minor spectra; four shifted adjugates and qadj(A)
     assert (len(eigs), len(adjs)) == (5, 5)
+    # matrices are arrays: no scalar quaternion products on the way
+    assert products == []
 
 
 def test_degenerate_exit(tmp_path, capsys):

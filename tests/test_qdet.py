@@ -207,7 +207,7 @@ def scalar_permutation_sum(A, order):
     for sign, cells in permutation_terms(A.n_rows, order):
         term = Quaternion(float(sign))
         for r, c in cells:
-            term = term * A.rows[r][c]
+            term = term * A[r, c]
         total = total + term
     return total
 
@@ -285,5 +285,8 @@ def test_complexity_limit_builds_no_table(monkeypatch):
 def test_eigenvector_at_7_expands_49_minors_of_size_6(monkeypatch):
     H = random_hermitian_gapped(7, np.random.default_rng(34))
     expansions = count_calls(monkeypatch, qdet, "row_expansion")
+    products = count_calls(monkeypatch, Quaternion, "__mul__")
     eigenvector_from_qadj(H, 4)
     assert [A.shape for (A,) in expansions] == [(6, 6)] * 49
+    # the reconstruction works on arrays: no scalar quaternion products
+    assert products == []

@@ -1,12 +1,16 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from qeei import (QMatrix, conj_transpose, from_components, identity, matmul,
                   minor, natural_submatrix, real_lift, scale_right,
                   validate_hermitian, zeros)
+from qeei.eigen import lambda_shift, vector_norm
 from qeei.errors import (DimensionMismatch, IndexOutOfRange, NotHermitian,
                          NotSquare)
-from qeei.qmatrix import from_real_lift, natural_orders
+from qeei.qmatrix import natural_orders, scale_left
 from qeei.quat import I, J, K, Quaternion
 from qeei.random_matrices import random_hermitian, random_qmatrix
 
@@ -113,12 +117,6 @@ def test_real_lift_of_hermitian_is_symmetric():
     assert np.max(np.abs(L - L.T)) < 1e-12
 
 
-def test_from_real_lift_round_trip():
-    rng = np.random.default_rng(3)
-    A = random_qmatrix(3, 3, rng)
-    assert from_real_lift(real_lift(A)).isclose(A, 1e-14)
-
-
 def test_matmul_identity(example_matrix):
     assert matmul(identity(2), example_matrix) == example_matrix
     with pytest.raises(DimensionMismatch):
@@ -135,3 +133,139 @@ def test_conj_transpose(example_matrix):
 def test_scale_right_order_matters():
     assert scale_right(QMatrix([[I]]), J) == QMatrix([[K]])
     assert scale_right(QMatrix([[J]]), I) == QMatrix([[-K]])
+
+
+# --------------------------------------------------------- the storage
+
+def test_data_is_read_only():
+    A = from_components(*np.ones((4, 2, 3)))
+    assert A.data.shape == (4, 2, 3)
+    with pytest.raises(ValueError):
+        A.data[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        A.components()[1][0, 0] = 2.0
+
+
+def test_signed_zeros_are_equal_with_equal_hashes():
+    assert QMatrix([[0.0]]) == QMatrix([[-0.0]])
+    assert hash(QMatrix([[0.0]])) == hash(QMatrix([[-0.0]]))
+    assert QMatrix([[1.0, 2.0]]) != QMatrix([[1.0], [2.0]])
+
+
+def test_entries_hold_python_floats():
+    rng = np.random.default_rng(8)
+    A = from_components(*rng.uniform(-1, 1, (4, 2, 2)))
+    assert all(type(c) is float for c in A[1, 0].components())
+    assert all(type(c) is float
+               for row in A.rows for a in row for c in a.components())
+    assert A.rows[1][0] == A[1, 0]
+
+
+def test_bad_shapes_raise_dimension_mismatch():
+    for rows in ([], [[]], [[1, 2], [3]]):
+        with pytest.raises(DimensionMismatch):
+            QMatrix(rows)
+    empty = np.zeros((0, 0))
+    with pytest.raises(DimensionMismatch):
+        from_components(empty, empty, empty, empty)
+    with pytest.raises(DimensionMismatch):
+        from_components(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        zeros(0)
+    with pytest.raises(DimensionMismatch):
+        QMatrix([[1]]) + QMatrix([[1, 2]])
+
+
+def test_array_ops_overflow_silently():
+    big = np.array([[1e200, 0.5], [0.5, 1e200]])
+    zero = np.zeros((2, 2))
+    A = from_components(big, zero, zero, zero)
+    B = from_components(zero, big, big, zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert matmul(A, A)[0, 0].w == math.inf
+        assert math.isnan(matmul(B, B)[0, 0].z)  # inf - inf
+        assert scale_right(A, 1e200)[0, 0].w == math.inf
+        assert A.norm_inf() == math.inf
+        assert vector_norm(A) == math.inf
+
+
+def test_non_finite_entries_are_not_hidden():
+    A = QMatrix([[1.0, 0.0], [0.0, math.nan]])
+    assert math.isnan(A.norm_inf())
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NotHermitian):
+            validate_hermitian(QMatrix([[1.0, 0.0], [0.0, bad]]))
+
+
+def test_worst_hermitian_pair_is_the_first_largest():
+    rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+    rows[2][1] = Quaternion(0.0, 3.0)  # (2,3)/(3,2) ties (1,3)/(3,1)
+    with pytest.raises(NotHermitian) as info:
+        validate_hermitian(QMatrix(rows))
+    assert (info.value.row, info.value.col, info.value.deviation) == (1, 3, 3.0)
+
+
+# -------------------------------------- the object loops as the oracle
+
+def loop_matmul(A, B):
+    def dot(row, col):
+        acc = Quaternion()
+        for a, b in zip(row, col):
+            acc = acc + a * b
+        return acc
+    Bt = list(zip(*B.rows))
+    return QMatrix([[dot(row, col) for col in Bt] for row in A.rows])
+
+
+def loop_conj_transpose(A):
+    return QMatrix([[A[p, q].conj() for p in range(A.n_rows)]
+                    for q in range(A.n_cols)])
+
+
+def loop_scale_right(v, q):
+    return QMatrix([[a * q for a in row] for row in v.rows])
+
+
+def loop_scale_left(q, v):
+    return QMatrix([[q * a for a in row] for row in v.rows])
+
+
+def loop_lambda_shift(A, lam):
+    n = A.n_rows
+    return QMatrix([[Quaternion(lam) - A[p, q] if p == q else -A[p, q]
+                     for q in range(n)] for p in range(n)])
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+
+
+def signed_zero_qmatrix(m, n, rng):
+    """Random entries, about half of the components replaced by +-0.0."""
+    comps = rng.uniform(-1, 1, (4, m, n))
+    zeros = rng.random((4, m, n)) < 0.5
+    comps[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return from_components(*comps)
+
+
+def negative_zero_qmatrix(m, n, rng):
+    return from_components(*np.full((4, m, n), -0.0))
+
+
+def test_array_ops_equal_the_object_loops():
+    rng = np.random.default_rng(9)
+    shapes = [(2, 3, 1)] + [tuple(rng.integers(1, 7, 3)) for _ in range(12)]
+    for m, k, n in shapes:
+        for make in (random_qmatrix, signed_zero_qmatrix, negative_zero_qmatrix):
+            A, B = make(m, k, rng), make(k, n, rng)
+            q = signed_zero_qmatrix(1, 1, rng)[0, 0]
+            assert_same_bits(matmul(A, B), loop_matmul(A, B))
+            assert_same_bits(conj_transpose(A), loop_conj_transpose(A))
+            assert_same_bits(scale_right(A, q), loop_scale_right(A, q))
+            assert_same_bits(scale_left(q, A), loop_scale_left(q, A))
+            assert_same_bits(scale_right(A, 0.7), loop_scale_right(A, Quaternion(0.7)))
+            S = make(m, m, rng)
+            for lam in (0.7, 0.0, -0.0):
+                assert_same_bits(lambda_shift(S, lam), loop_lambda_shift(S, lam))
