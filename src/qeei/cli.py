@@ -20,8 +20,8 @@ import numpy as np
 
 from . import eigen, oracle, qdet, qmatrix, random_matrices
 from .errors import (ComplexityLimit, DegenerateEigenvalue, DimensionMismatch,
-                     IdentityViolation, IndexOutOfRange, NotHermitian,
-                     NotSquare, QeeiError)
+                     IdentityViolation, IndexOutOfRange, NonFiniteResult,
+                     NotHermitian, NotSquare, QeeiError)
 from .qmatrix import QMatrix
 
 EXIT_OK = 0
@@ -100,6 +100,22 @@ def base_report(args, echo, digest, tol):
     }
 
 
+def parse_tol(text):
+    """The base tolerance from --tol or QEEI_TOL: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise ParseError(f"tolerance {text!r} is not a number") from None
+    if not 0.0 <= tol < math.inf:
+        raise ParseError(f"tolerance must be finite and >= 0, got {text}")
+    return tol
+
+
+def require_finite(name, values):
+    if not np.isfinite(values).all():
+        raise NonFiniteResult(f"{name} overflows to an infinity or a NaN")
+
+
 def residual_scale(A: QMatrix) -> float:
     """Residual comparisons scale with 1 + ||A||_inf ** n; inf on overflow,
     which `within` treats as a violation."""
@@ -163,6 +179,7 @@ def cmd_vec(args, tol, fmt):
 def cmd_det(args, tol, fmt):
     A, echo, digest = load_matrix_file(args.file)
     value = qdet.det(A)
+    require_finite("det", value.components())
     report = base_report(args, echo, digest, tol)
     report["det"] = list(value.components())
     emit(report, fmt, [f"det = {value}"])
@@ -170,11 +187,14 @@ def cmd_det(args, tol, fmt):
 
 
 def cmd_qadj(args, tol, fmt):
+    if args.lam is not None and not math.isfinite(args.lam):
+        raise ParseError(f"--lambda must be finite, got {args.lam}")
     A, echo, digest = load_matrix_file(args.file)
     target = A
     if args.lam is not None:
         target = eigen.lambda_shift(A, args.lam)
     Q = qdet.qadj(target)
+    require_finite("qadj", Q.data)
     comps = Q.components()
     report = base_report(args, echo, digest, tol)
     if args.lam is not None:
@@ -251,8 +271,9 @@ def build_parser():
         prog="qeei",
         description="Right eigenvalues and eigenvectors of quaternion "
                     "Hermitian matrices via the adjugate reconstruction.")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="base tolerance (default 1e-8, or QEEI_TOL)")
+    parser.add_argument("--tol", default=None,
+                        help="base tolerance, finite and >= 0 "
+                             "(default 1e-8, or QEEI_TOL)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -283,10 +304,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("QEEI_TOL", DEFAULT_TOL))
     try:
+        tol = parse_tol(args.tol if args.tol is not None
+                        else os.environ.get("QEEI_TOL", DEFAULT_TOL))
         return args.func(args, tol, args.format)
     except QeeiError as exc:
         print(f"error: {exc}", file=sys.stderr)

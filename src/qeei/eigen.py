@@ -18,11 +18,17 @@ import numpy as np
 
 from . import qdet, qmatrix
 from .errors import (DegenerateEigenvalue, GroupingFailure, IdentityViolation,
-                     IndexOutOfRange, NoConvergence, NotSymmetric, PivotFailure)
+                     IndexOutOfRange, NoConvergence, NonFiniteResult,
+                     NotSymmetric, PivotFailure)
 from .qmatrix import HermitianQMatrix, QMatrix
 
 JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_TOL = 1e-12
+JACOBI_OFF_TOL = 1e-12    # Jacobi stops at off-diagonal norm <= tol * ||S||_F
+SYMMETRY_TOL = 1e-10      # symmetric_eig: |S - S^T| <= tol * (1 + max |S|)
+GROUPING_TOL = 1e-7       # lift quadruple spread < tol * (1 + max |lift|)
+SIMPLE_TOL = 1e-6         # require_simple: gap > tol * (1 + spectral range)
+CLAMP_TOL = 1e-9          # eei_modulus: -tol <= |v_ij|^2 <= 1 + tol
+PIVOT_WEIGHT_TOL = 1e-12  # eigenpair: pivot weight |v_m|^2 >= tol
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,6 @@ class Spectrum:
 
     values: tuple
     grouping_tol: float
-    source_dim: int
 
     def __len__(self):
         return len(self.values)
@@ -81,7 +86,7 @@ def symmetric_eig(S):
         raise NotSymmetric(f"expected a square matrix, got shape {S.shape}")
     n = S.shape[0]
     scale = 1.0 + np.max(np.abs(S)) if S.size else 1.0
-    if np.max(np.abs(S - S.T)) > 1e-10 * scale:
+    if np.max(np.abs(S - S.T)) > SYMMETRY_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
 
     A = 0.5 * (S + S.T)
@@ -130,17 +135,19 @@ def _rotate(A, V, p, q, c, s):
     V[:, q] = s * vp + c * vq
 
 
-def default_grouping_tol(lift):
-    return 1e-7 * (1.0 + np.max(np.abs(lift)))
-
-
-def right_eigenvalues(A: HermitianQMatrix, grouping_tol=None) -> Spectrum:
+def right_eigenvalues(A: HermitianQMatrix) -> Spectrum:
     """Ascending right eigenvalues via the real lift's eigenvalue quadruples."""
     n = A.n
     lift = qmatrix.real_lift(A.inner)
-    if grouping_tol is None:
-        grouping_tol = default_grouping_tol(lift)
-    values, _ = symmetric_eig(lift)
+    top = np.max(np.abs(lift))
+    grouping_tol = GROUPING_TOL * (1.0 + top)
+    # solve lift / 2**e < 1: exact, and huge entries cannot overflow
+    e = np.frexp(top)[1]
+    values = symmetric_eig(np.ldexp(lift, -e))[0]
+    with np.errstate(over="ignore"):  # not around the solve: slows its scalars
+        values = np.ldexp(values, e)
+    if not np.isfinite(values).all():
+        raise NonFiniteResult("a right eigenvalue overflows to an infinity")
     grouped = []
     for t in range(n):
         quad = values[4 * t:4 * t + 4]
@@ -150,25 +157,19 @@ def right_eigenvalues(A: HermitianQMatrix, grouping_tol=None) -> Spectrum:
                 f"lift eigenvalues around index {4 * t} spread {spread:.3e} "
                 f">= grouping tol {grouping_tol:.3e}")
         grouped.append(float(np.mean(quad)))
-    return Spectrum(tuple(grouped), grouping_tol, n)
+    return Spectrum(tuple(grouped), grouping_tol)
 
 
-def default_simple_tol(spectrum: Spectrum) -> float:
-    return 1e-6 * (1.0 + spectrum.spectral_range())
-
-
-def require_simple(spectrum: Spectrum, i: int, simple_tol=None) -> float:
-    """Check that 1 <= i <= n and that lambda_i is simple; returns the tol used."""
+def require_simple(spectrum: Spectrum, i: int) -> None:
+    """Check that 1 <= i <= n and that lambda_i is simple."""
     n = len(spectrum)
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"eigenvalue index {i} outside 1..{n}")
-    if simple_tol is None:
-        simple_tol = default_simple_tol(spectrum)
+    simple_tol = SIMPLE_TOL * (1.0 + spectrum.spectral_range())
     gap = spectrum.gap(i)
     if gap <= simple_tol:
         raise DegenerateEigenvalue(
             f"eigenvalue {i} has gap {gap:.3e} <= simple tol {simple_tol:.3e}")
-    return simple_tol
 
 
 @qmatrix.quiet
@@ -208,16 +209,15 @@ class HermitianSolve:
     """A Hermitian matrix and its spectrum; minor spectra, gap products,
     shifted adjugates and eigenpairs are computed on first use and kept."""
 
-    def __init__(self, A: HermitianQMatrix, simple_tol=None):
+    def __init__(self, A: HermitianQMatrix):
         self.A = A
         self.n = A.n
-        self.simple_tol = simple_tol
         self.spectrum = right_eigenvalues(A)
         self._kept = {}
 
     def eigenvalue(self, i: int) -> float:
         """lambda_i (1-based, ascending), which must be simple."""
-        require_simple(self.spectrum, i, self.simple_tol)
+        require_simple(self.spectrum, i)
         return self.spectrum[i - 1]
 
     @_kept
@@ -254,7 +254,7 @@ class HermitianSolve:
         # diagonal of Q is c * |v_m|^2; pick the dominant component
         weights = [w / c for w in Q.data[0].diagonal().tolist()]
         m = max(range(n), key=lambda t: weights[t])
-        if not all(map(math.isfinite, weights)) or weights[m] < 1e-12:
+        if not all(map(math.isfinite, weights)) or weights[m] < PIVOT_WEIGHT_TOL:
             raise PivotFailure("no finite, usable diagonal pivot in qadj "
                                "(rank-one structure lost)")
         vm = math.sqrt(weights[m])
@@ -266,37 +266,37 @@ class HermitianSolve:
                          abs(vector_norm(v) - 1.0))
 
 
-def as_solve(A, simple_tol=None) -> HermitianSolve:
-    """A if it is a solve (which keeps its own simple_tol), else a solve of A."""
-    return A if isinstance(A, HermitianSolve) else HermitianSolve(A, simple_tol)
+def as_solve(A) -> HermitianSolve:
+    """A if it is a solve, else a solve of A."""
+    return A if isinstance(A, HermitianSolve) else HermitianSolve(A)
 
 
-def eei_modulus(A, i: int, j: int, simple_tol=None, clamp_tol=1e-9) -> float:
+def eei_modulus(A, i: int, j: int) -> float:
     """|v_ij|^2 from eigenvalues of A and of the minor M_j alone."""
     n = A.n
     if not 1 <= j <= n:
         raise IndexOutOfRange(f"component index {j} outside 1..{n}")
-    solve = as_solve(A, simple_tol)
+    solve = as_solve(A)
     ratio = solve.minor_gap_product(i, j) / solve.gap_product(i)
-    if ratio < -clamp_tol or ratio > 1.0 + clamp_tol:
+    if ratio < -CLAMP_TOL or ratio > 1.0 + CLAMP_TOL:
         raise IdentityViolation(
             f"|v_{i}{j}|^2 = {ratio:.3e} outside [0, 1] beyond rounding slack")
     return min(max(ratio, 0.0), 1.0)
 
 
-def eigenvector_from_qadj(A, i: int, simple_tol=None) -> EigenPair:
+def eigenvector_from_qadj(A, i: int) -> EigenPair:
     """Unit eigenvector for the i-th (ascending, simple) eigenvalue.
 
     qadj(lam*E - A) equals c * v v* with c the product of spectral gaps,
     so one column recovers v once the pivot component is made real.
     """
-    return as_solve(A, simple_tol).eigenpair(i)
+    return as_solve(A).eigenpair(i)
 
 
-def eei_report(A, simple_tol=None) -> list:
+def eei_report(A) -> list:
     """Both sides of the identity for every (i, j), via the adjugate route."""
     n = A.n
-    solve = as_solve(A, simple_tol)
+    solve = as_solve(A)
     for i in range(1, n + 1):  # all simple before any adjugate is built
         solve.eigenvalue(i)
     reports = []
@@ -309,9 +309,9 @@ def eei_report(A, simple_tol=None) -> list:
     return reports
 
 
-def verify_outer_product(A, i: int, simple_tol=None) -> float:
+def verify_outer_product(A, i: int) -> float:
     """Max deviation of qadj(lam*E - A) from c * v v*."""
-    solve = as_solve(A, simple_tol)
+    solve = as_solve(A)
     v = solve.eigenpair(i).vector
     outer = qmatrix.matmul(v, qmatrix.conj_transpose(v))
     c = solve.gap_product(i)

@@ -59,5 +59,9 @@ class PivotFailure(QeeiError):
     """No usable diagonal pivot in the adjugate (rank-one structure lost)."""
 
 
+class NonFiniteResult(QeeiError):
+    """A computed result overflowed to an infinity or a NaN."""
+
+
 class NoZeroEigenvalue(QeeiError):
     """Cauchy-Binet check needs a (near-)singular Hermitian input."""

@@ -14,28 +14,25 @@ from .errors import DegenerateEigenvalue, DimensionMismatch, NoZeroEigenvalue
 from .quat import Quaternion
 from .qmatrix import HermitianQMatrix, QMatrix
 
+PIVOT_TOL = 1e-10  # null_space: a pivot needs modulus > tol * (1 + ||M||_inf)
+ZERO_TOL = 1e-8    # cauchy_binet_residual: smallest |eigenvalue| <= tol
+
 
 @dataclass(frozen=True)
 class NullSpaceResult:
     basis: tuple          # unit n x 1 QMatrix columns
     rank: int
-    pivot_tol: float
 
     @property
     def dim(self):
         return len(self.basis)
 
 
-def default_pivot_tol(M: QMatrix) -> float:
-    return 1e-10 * (1.0 + M.norm_inf())
-
-
-def null_space(M: QMatrix, pivot_tol=None) -> NullSpaceResult:
+def null_space(M: QMatrix) -> NullSpaceResult:
     """Basis of the right null space via Gaussian elimination."""
     if not M.is_square():
         raise DimensionMismatch("null_space expects a square matrix")
-    if pivot_tol is None:
-        pivot_tol = default_pivot_tol(M)
+    pivot_tol = PIVOT_TOL * (1.0 + M.norm_inf())
     n = M.n_rows
     R = [list(row) for row in M.rows]
 
@@ -71,7 +68,7 @@ def null_space(M: QMatrix, pivot_tol=None) -> NullSpaceResult:
             comps[p] = -R[r][f]
         v = QMatrix([[a] for a in comps])
         basis.append(_unit(v))
-    return NullSpaceResult(tuple(basis), len(pivot_cols), pivot_tol)
+    return NullSpaceResult(tuple(basis), len(pivot_cols))
 
 
 def _unit(v: QMatrix) -> QMatrix:
@@ -88,9 +85,9 @@ def _phase_normalize(v: QMatrix) -> tuple:
     return qmatrix.scale_right(v, q), m + 1
 
 
-def traditional_eigenpairs(A, simple_tol=None) -> list:
+def traditional_eigenpairs(A) -> list:
     """Eigenpairs by solving (A - lam E) v = 0 directly for each lam."""
-    solve = eigen.as_solve(A, simple_tol)
+    solve = eigen.as_solve(A)
     pairs = []
     for i in range(1, solve.n + 1):
         lam = solve.eigenvalue(i)
@@ -105,8 +102,7 @@ def traditional_eigenpairs(A, simple_tol=None) -> list:
     return pairs
 
 
-def cauchy_binet_residual(A: HermitianQMatrix, B: QMatrix,
-                          zero_tol=1e-8) -> float:
+def cauchy_binet_residual(A: HermitianQMatrix, B: QMatrix) -> float:
     """Residual of the quaternionic Cauchy-Binet identity.
 
     A must carry a right eigenvalue at zero (shift by an eigenvalue
@@ -119,9 +115,9 @@ def cauchy_binet_residual(A: HermitianQMatrix, B: QMatrix,
             f"B must be {n} x {n - 1}, got {B.shape}")
     spectrum = eigen.right_eigenvalues(A)
     z = min(range(n), key=lambda t: abs(spectrum[t]))
-    if abs(spectrum[z]) > zero_tol:
+    if abs(spectrum[z]) > ZERO_TOL:
         raise NoZeroEigenvalue(
-            f"smallest |eigenvalue| is {abs(spectrum[z]):.3e} > {zero_tol:.1e}")
+            f"smallest |eigenvalue| is {abs(spectrum[z]):.3e} > {ZERO_TOL:.1e}")
     ns = null_space(eigen.lambda_shift(A.inner, spectrum[z]))
     if ns.dim < 1:
         raise NoZeroEigenvalue("no null vector found at the zero eigenvalue")

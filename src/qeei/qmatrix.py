@@ -19,6 +19,8 @@ from .quat import Quaternion, _coerce, hamilton
 # decorator: overflow and inf - inf give inf/NaN silently, as Python floats do
 quiet = np.errstate(over="ignore", invalid="ignore")
 
+HERMITIAN_TOL = 1e-12  # validate_hermitian: |A - A*| <= tol * (1 + ||A||_inf)
+
 
 class QMatrix:
     """Dense matrix over the quaternions; data[c, p, q] is component c
@@ -183,13 +185,13 @@ def scale_left(q, v: QMatrix) -> QMatrix:
 
 
 @quiet
-def validate_hermitian(A: QMatrix, tol_factor=1e-12) -> HermitianQMatrix:
+def validate_hermitian(A: QMatrix) -> HermitianQMatrix:
     """Certify A = A*; tolerance scales with the largest entry modulus.
     Reports the first pair p <= q (row by row) with the largest deviation;
     a NaN deviation (from a non-finite entry) is never within tolerance."""
     if not A.is_square():
         raise NotSquare(f"Hermitian validation needs a square matrix, got {A.shape}")
-    tol = tol_factor * (1.0 + A.norm_inf())
+    tol = HERMITIAN_TOL * (1.0 + A.norm_inf())
     deviation = np.max(np.abs(A.data - conj_transpose(A).data), axis=0)
     rows, cols = np.triu_indices(A.n_rows)
     k = int(np.argmax(deviation[rows, cols]))

@@ -19,12 +19,12 @@ def random_qmatrix(n_rows, n_cols, rng) -> QMatrix:
                     for _ in range(n_rows)])
 
 
-def random_hermitian(n, rng, scale=1.0) -> HermitianQMatrix:
+def random_hermitian(n, rng) -> HermitianQMatrix:
     rows = [[None] * n for _ in range(n)]
     for p in range(n):
-        rows[p][p] = Quaternion(float(rng.uniform(-2.0, 2.0)) * scale)
+        rows[p][p] = Quaternion(float(rng.uniform(-2.0, 2.0)))
         for q in range(p + 1, n):
-            a = random_quaternion(rng) * scale
+            a = random_quaternion(rng)
             rows[p][q] = a
             rows[q][p] = a.conj()
     return validate_hermitian(QMatrix(rows))

@@ -197,6 +197,70 @@ def test_overflowing_residual_scale_verify_exit(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def real_file(tmp_path, name, re):
+    zero = [[0.0] * len(re) for _ in re]
+    doc = {"n": len(re), "re": re, "im_i": zero, "im_j": zero, "im_k": zero}
+    return write_doc(tmp_path, name, doc)
+
+
+def huge_block_file(tmp_path, a=1e200):
+    # a * [[1, 1], [1, 0]] dominates: eigenvalues a(1 -+ sqrt 5)/2, and about 1
+    return real_file(tmp_path, "huge200.json",
+                     [[a, a, 0.1], [a, 1.0, 0.1], [0.1, 0.1, 1.0]])
+
+
+def assert_one_error_line(code, expected, capsys):
+    out, err = capsys.readouterr()
+    assert code == expected and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_huge_block_spectrum(tmp_path, capsys):
+    a = 1e200
+    code = cli.main(["--format", "json", "eig", huge_block_file(tmp_path, a)])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 0 and report["status"] == "ok" and err == ""
+    expected = [a * (1 - math.sqrt(5)) / 2, 1.0, a * (1 + math.sqrt(5)) / 2]
+    for value, closed_form in zip(report["spectrum"], expected):
+        assert abs(value - closed_form) <= 1e-12 * a
+
+
+@pytest.mark.parametrize("argv", [["det"], ["qadj"], ["qadj", "--lambda", "0.7"]])
+def test_overflowing_det_and_qadj_exit(tmp_path, capsys, argv):
+    path = huge_block_file(tmp_path)
+    code = cli.main(["--format", "json", argv[0], path, *argv[1:]])
+    assert_one_error_line(code, 4, capsys)
+
+
+def test_overflowing_spectrum_exit(tmp_path, capsys):
+    # 2e308 is past the largest float
+    path = real_file(tmp_path, "huge308.json", [[1e308, 1e308], [1e308, 1e308]])
+    assert_one_error_line(cli.main(["--format", "json", "eig", path]), 4, capsys)
+
+
+@pytest.mark.parametrize("argv, env_tol", [
+    (["--tol", "nan", "eig", "FILE"], None),
+    (["--tol", "inf", "eig", "FILE"], None),
+    (["--tol", "-1", "eig", "FILE"], None),
+    (["--tol", "nan", "verify", "FILE"], None),
+    (["--tol", "inf", "vec", "FILE", "--index", "1"], None),
+    (["--tol", "-1", "vec", "FILE", "--index", "1"], None),
+    (["--tol", "abc", "eig", "FILE"], None),
+    (["eig", "FILE"], "abc"),
+    (["eig", "FILE"], "nan"),
+    (["verify", "FILE"], "-1"),
+    (["qadj", "FILE", "--lambda", "nan"], None),
+    (["qadj", "FILE", "--lambda", "inf"], None),
+    (["qadj", "FILE", "--lambda=-inf"], None),
+])
+def test_bad_numeric_option_exit(example_file, capsys, monkeypatch, argv, env_tol):
+    if env_tol is not None:
+        monkeypatch.setenv("QEEI_TOL", env_tol)
+    argv = [example_file if a == "FILE" else a for a in argv]
+    assert_one_error_line(cli.main(["--format", "json", *argv]), 2, capsys)
+
+
 def test_non_finite_residual_is_a_violation(example_file, capsys, monkeypatch):
     real = eigen.eigenvector_from_qadj
 

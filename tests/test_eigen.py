@@ -63,7 +63,14 @@ def test_right_eigenvalues_example(example_hermitian):
     spec = right_eigenvalues(example_hermitian)
     assert spec.values == pytest.approx(((5 - SQRT13) / 2, (5 + SQRT13) / 2),
                                         abs=1e-10)
-    assert spec.source_dim == 2
+
+
+def test_right_eigenvalues_of_tiny_entries(example_matrix):
+    # below 1e-300 an unscaled Jacobi sweep skips every rotation
+    tiny = validate_hermitian(QMatrix.from_data(example_matrix.data * 1e-300))
+    expected = ((5 - SQRT13) / 2 * 1e-300, (5 + SQRT13) / 2 * 1e-300)
+    assert right_eigenvalues(tiny).values == pytest.approx(expected, rel=1e-12,
+                                                           abs=0)
 
 
 def test_right_eigenvalues_1x1():
@@ -83,9 +90,11 @@ def test_right_eigenvalues_quadruples():
             assert quad[-1] - quad[0] < tol
 
 
-def test_grouping_failure_on_tight_tol(example_hermitian):
+def test_grouping_failure_on_tight_tol(example_hermitian, monkeypatch):
+    # max |lift| = 3 on the example, so the tolerance is 2.5e-19 * 4 = 1e-18
+    monkeypatch.setattr(eigen, "GROUPING_TOL", 2.5e-19)
     with pytest.raises(GroupingFailure):
-        right_eigenvalues(example_hermitian, grouping_tol=1e-18)
+        right_eigenvalues(example_hermitian)
 
 
 # ------------------------------------------------------------ EEI moduli
