@@ -10,6 +10,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -266,7 +267,12 @@ def cmd_random(args, tol, fmt):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The qeei parser, built on first use and shared for the rest of the
+    process; callers must not modify it.  parse_args keeps no state between
+    calls, while a tree built per call is cyclic garbage that only a full
+    collection frees."""
     parser = argparse.ArgumentParser(
         prog="qeei",
         description="Right eigenvalues and eigenvectors of quaternion "

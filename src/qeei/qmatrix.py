@@ -19,7 +19,7 @@ from .quat import Quaternion, _coerce, hamilton
 # decorator: overflow and inf - inf give inf/NaN silently, as Python floats do
 quiet = np.errstate(over="ignore", invalid="ignore")
 
-HERMITIAN_TOL = 1e-12  # validate_hermitian: |A - A*| <= tol * (1 + ||A||_inf)
+HERMITIAN_TOL = 1e-12  # validate_hermitian: |A - A*| <= tol * ||A||_inf
 
 
 class QMatrix:
@@ -187,16 +187,21 @@ def scale_left(q, v: QMatrix) -> QMatrix:
 @quiet
 def validate_hermitian(A: QMatrix) -> HermitianQMatrix:
     """Certify A = A*; tolerance scales with the largest entry modulus.
+    Both are taken of A / 2**e, with 2**e just above the largest component:
+    the scaling is exact, and the squared moduli cannot overflow.
     Reports the first pair p <= q (row by row) with the largest deviation;
     a NaN deviation (from a non-finite entry) is never within tolerance."""
     if not A.is_square():
         raise NotSquare(f"Hermitian validation needs a square matrix, got {A.shape}")
-    tol = HERMITIAN_TOL * (1.0 + A.norm_inf())
-    deviation = np.max(np.abs(A.data - conj_transpose(A).data), axis=0)
+    e = np.frexp(np.max(np.abs(A.data)))[1]
+    S = QMatrix.from_data(np.ldexp(A.data, -e))
+    tol = HERMITIAN_TOL * S.norm_inf()
+    deviation = np.max(np.abs(S.data - conj_transpose(S).data), axis=0)
     rows, cols = np.triu_indices(A.n_rows)
     k = int(np.argmax(deviation[rows, cols]))
-    dev, p, q = float(deviation[rows[k], cols[k]]), int(rows[k]), int(cols[k])
+    dev, p, q = deviation[rows[k], cols[k]], int(rows[k]), int(cols[k])
     if not dev <= tol:
+        dev, tol = float(np.ldexp(dev, e)), float(np.ldexp(tol, e))
         raise NotHermitian(
             f"entries ({p + 1},{q + 1})/({q + 1},{p + 1}) break A = A* "
             f"by {dev:.3e} (tol {tol:.3e})",

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -287,6 +288,55 @@ def test_verify_solves_each_matrix_once(tmp_path, capsys, monkeypatch):
     assert (len(eigs), len(adjs)) == (5, 5)
     # matrices are arrays: no scalar quaternion products on the way
     assert products == []
+
+
+def test_parser_is_built_once_per_process(example_file, capsys, monkeypatch):
+    cli.main(["eig", example_file])
+    built = count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+    for argv in (["eig", example_file], ["--format", "json", "verify", example_file],
+                 ["vec", example_file, "--index", "1"], ["random", "2"]):
+        assert cli.main(argv) == 0
+    assert built == []
+
+
+def test_kept_parser_answers_like_a_fresh_one(example_file, capsys, monkeypatch):
+    # each command in one process against the same command in a new process
+    commands = [["--format", "json", "verify", example_file],
+                ["eig", example_file],
+                ["--tol", "1e-3", "vec", example_file, "--index", "2"],
+                ["vec", example_file],
+                ["qadj", example_file, "--lambda", "0.5"],
+                ["eig", example_file]]
+    monkeypatch.delenv("QEEI_TOL", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in commands:
+        monkeypatch.setattr(sys, "argv", ["qeei", *argv])
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "qeei.cli", *argv],
+                               capture_output=True, text=True)
+        assert (out, err, code) == (fresh.stdout, fresh.stderr, fresh.returncode)
+    assert code == 0 and "eigenvalues" in out
+
+
+# 2 x 2 files that break A = A* by far more than their own scale
+TINY_SKEW = {"re": [[1e-20, 2e-20], [2e-20, -1e-20]],
+             "im_i": [[0.0, 3e-20], [-3e-20 + 1e-14, 0.0]]}
+HUGE_SKEW = {"re": [[1e200, 1e200], [-1e200, 1.0]]}
+
+
+@pytest.mark.parametrize("parts", [TINY_SKEW, HUGE_SKEW], ids=["tiny", "huge"])
+def test_hermitian_check_is_relative(tmp_path, capsys, parts):
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    doc = {"n": 2, "re": zero, "im_i": zero, "im_j": zero, "im_k": zero, **parts}
+    code = cli.main(["--format", "json", "eig", write_doc(tmp_path, "skew.json", doc)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "(1,2)/(2,1)" in err
 
 
 def test_degenerate_exit(tmp_path, capsys):

@@ -10,7 +10,7 @@ from qeei import (QMatrix, conj_transpose, from_components, identity, matmul,
 from qeei.eigen import lambda_shift, vector_norm
 from qeei.errors import (DimensionMismatch, IndexOutOfRange, NotHermitian,
                          NotSquare)
-from qeei.qmatrix import natural_orders, scale_left
+from qeei.qmatrix import HERMITIAN_TOL, natural_orders, scale_left
 from qeei.quat import I, J, K, Quaternion
 from qeei.random_matrices import random_hermitian, random_qmatrix
 
@@ -204,6 +204,49 @@ def test_worst_hermitian_pair_is_the_first_largest():
     with pytest.raises(NotHermitian) as info:
         validate_hermitian(QMatrix(rows))
     assert (info.value.row, info.value.col, info.value.deviation) == (1, 3, 3.0)
+
+
+def test_hermitian_check_is_relative_at_every_scale():
+    validate_hermitian(zeros(3))  # tolerance 0, deviation 0
+    z = np.zeros((2, 2))
+    tiny = from_components([[1e-20, 2e-20], [2e-20, -1e-20]],
+                           [[0.0, 3e-20], [-3e-20 + 1e-14, 0.0]], z, z)
+    huge = from_components([[1e200, 1e200], [-1e200, 1.0]], z, z, z)
+    # the deviation overflows; the scaled comparison still sees it
+    edge = from_components([[0.0, 1.5e308], [-1.5e308, 0.0]], z, z, z)
+    for A, deviation in ((tiny, pytest.approx(1e-14)), (huge, 2e200),
+                         (edge, math.inf)):
+        with pytest.raises(NotHermitian) as info:
+            validate_hermitian(A)
+        assert (info.value.row, info.value.col) == (1, 2)
+        assert info.value.deviation == deviation
+    validate_hermitian(from_components([[1e300, 1e300], [1e300, -1e300]], z, z, z))
+
+
+def test_hermitian_check_equals_the_unscaled_formula():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        data = rng.standard_normal((4, n, n)) * 10.0 ** rng.uniform(-3, 3, (4, n, n))
+        w, x, y, z = data
+        tol = HERMITIAN_TOL * math.sqrt(np.max(w * w + x * x + y * y + z * z))
+        A = QMatrix.from_data(data)
+        deviation = np.max(np.abs(A.data - conj_transpose(A).data))
+        with pytest.raises(NotHermitian) as info:
+            validate_hermitian(A)
+        assert info.value.deviation == deviation
+        assert f"(tol {tol:.3e})" in str(info.value)
+        if n == 1:
+            continue
+        # a Hermitian matrix at the same scale, nudged to either side of tol
+        H = (A + conj_transpose(A)).data
+        tol = HERMITIAN_TOL * QMatrix.from_data(H).norm_inf()
+        near, far = H.copy(), H.copy()
+        near[1, 0, -1] += 0.5 * tol
+        far[1, 0, -1] += 2.0 * tol
+        validate_hermitian(QMatrix.from_data(near))
+        with pytest.raises(NotHermitian):
+            validate_hermitian(QMatrix.from_data(far))
 
 
 # -------------------------------------- the object loops as the oracle
