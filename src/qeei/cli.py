@@ -60,12 +60,14 @@ def load_matrix_file(path):
         with open(path, "rb") as fh:
             raw = fh.read()
         doc = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"matrix file {path} is not a JSON object")
     try:
         n = doc["n"]
         comps = [doc[key] for key in ("re", "im_i", "im_j", "im_k")]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"matrix file {path} is missing key {exc}") from exc
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}")
@@ -261,6 +263,8 @@ def cmd_verify(args, tol, fmt):
 
 
 def cmd_random(args, tol, fmt):
+    if args.seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     H = random_matrices.random_hermitian(args.n, rng)
     print(json.dumps(matrix_to_doc(H.inner), indent=2))

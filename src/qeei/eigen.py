@@ -76,11 +76,7 @@ class EEIReport:
 
 
 def symmetric_eig(S):
-    """Cyclic Jacobi diagonalization of a real symmetric matrix.
-
-    Returns (values ascending, V) with S V ~= V diag(values) and V
-    orthogonal (columns are eigenvectors).
-    """
+    """Ascending eigenvalues of a real symmetric matrix, by cyclic Jacobi."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {S.shape}")
@@ -90,11 +86,10 @@ def symmetric_eig(S):
         raise NotSymmetric("matrix is not symmetric within tolerance")
 
     A = 0.5 * (S + S.T)
-    V = np.eye(n)
     with np.errstate(over="ignore"):  # a huge entry gives fnorm = inf
         fnorm = np.linalg.norm(A)
     if fnorm == 0.0 or n == 1:
-        return np.diag(A).copy(), V
+        return np.diag(A).copy()
 
     for _ in range(JACOBI_MAX_SWEEPS):
         # measure off-diagonal mass entrywise; the ||A||_F^2 - sum(diag^2)
@@ -112,17 +107,14 @@ def symmetric_eig(S):
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                _rotate(A, V, p, q, c, s)
+                _rotate(A, p, q, c, s)
     else:
         raise NoConvergence(
             f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], V[:, order]
+    return np.sort(np.diag(A), kind="stable")
 
 
-def _rotate(A, V, p, q, c, s):
+def _rotate(A, p, q, c, s):
     rp, rq = A[p, :].copy(), A[q, :].copy()
     A[p, :] = c * rp - s * rq
     A[q, :] = s * rp + c * rq
@@ -130,9 +122,6 @@ def _rotate(A, V, p, q, c, s):
     A[:, p] = c * cp - s * cq
     A[:, q] = s * cp + c * cq
     A[p, q] = A[q, p] = 0.0
-    vp, vq = V[:, p].copy(), V[:, q].copy()
-    V[:, p] = c * vp - s * vq
-    V[:, q] = s * vp + c * vq
 
 
 def right_eigenvalues(A: HermitianQMatrix) -> Spectrum:
@@ -143,7 +132,7 @@ def right_eigenvalues(A: HermitianQMatrix) -> Spectrum:
     grouping_tol = GROUPING_TOL * (1.0 + top)
     # solve lift / 2**e < 1: exact, and huge entries cannot overflow
     e = np.frexp(top)[1]
-    values = symmetric_eig(np.ldexp(lift, -e))[0]
+    values = symmetric_eig(np.ldexp(lift, -e))
     with np.errstate(over="ignore"):  # not around the solve: slows its scalars
         values = np.ldexp(values, e)
     if not np.isfinite(values).all():

@@ -8,11 +8,12 @@ term differently, and over a non-commutative ring that changes the value:
   cycles are concatenated in order of decreasing leader.
 * row expansion |A|^row: the first factor comes from row 1 and the chain
   follows the permutation; when a cycle closes, the next factor comes
-  from the smallest row not yet used.
+  from the smallest row not yet used.  This is I. I. Kyrchei's row
+  determinant rdet_1.
 
-The quaternion adjugate qadj is built from row expansions of natural
-submatrices and satisfies qadj(H) H = H qadj(H) = det(H) E for
-Hermitian H.
+The quaternion adjugate qadj is Kyrchei's row-determinant cofactor,
+evaluated as row expansions of natural submatrices; it satisfies
+qadj(H) H = H qadj(H) = det(H) E for Hermitian H.
 """
 
 from __future__ import annotations
@@ -105,10 +106,22 @@ def row_expansion(A: QMatrix) -> Quaternion:
 
 
 def qadj(A: QMatrix) -> QMatrix:
-    """Quaternion adjugate: signed row expansions of natural submatrices.
+    """Quaternion adjugate: Kyrchei's row-determinant cofactors.
 
-    Entry (p, q) is +|A_pp|^row on the diagonal and -|A_qp|^row off it.
-    The 0x0 row expansion is 1, so qadj of a 1x1 matrix is [[1]].
+    Entry (p, q), 1-based, is rdet_p of A with column p replaced by the
+    unit column e_q.  rdet_p sums over all n! permutations with sign
+    (-1)**(n - #cycles); the first cycle starts at row p, and every other
+    cycle starts at its smallest row, in ascending order of that row
+    (I. I. Kyrchei, "Cramer's rule for quaternionic systems of linear
+    equations", J. Math. Sci. 155, 2008).  Only the terms whose first
+    cycle closes through the unit entry (q, p) are nonzero, so each entry
+    takes (n - 1)! terms: the row expansion (rdet_1) of the natural
+    submatrix A_qp.  For p = q the cycle (p) drops out with the row and
+    column, which leaves (-1)**(n - #cycles) unchanged: +|A_pp|^row.  For
+    p != q row p and column q merge into one, so n falls by one and
+    #cycles does not: -|A_qp|^row.  The 0x0 row expansion is 1, so qadj
+    of a 1x1 matrix is [[1]].  The adjugate the paper lists for its 2x2
+    example pins this orientation: entry (1, 2) is -a_12, not -a_21.
     """
     n = A.n_rows
     if not A.is_square():

@@ -226,12 +226,11 @@ def natural_submatrix(A: QMatrix, i: int, j: int) -> QMatrix:
     After the deletion, surviving row j is moved to the front and surviving
     column i is moved to the front; all other rows and columns keep their
     ascending order.  For i = j both moves are vacuous and the result is
-    the plain deletion minor.  This is the convention under which the
-    adjugate built from row expansions satisfies
-    qadj(H) H = H qadj(H) = det(H) E on Hermitian matrices (validated
-    numerically for n = 2..6 in the test suite); it was fixed by solving
-    qadj(H) = det(H) inv(H) entrywise on random Hermitian matrices and
-    searching over row/column orderings.
+    the plain deletion minor.  The row expansion of A_qp is the
+    (n - 1)!-term evaluation of rdet_p of A with column p replaced by e_q:
+    in each nonzero term the first cycle leaves row p and returns through
+    the unit entry (q, p), and the front row and column of A_qp stand for
+    that step.  qdet.qadj is built from these.
     """
     n = A.n_rows
     if not A.is_square():

@@ -240,6 +240,19 @@ def test_overflowing_spectrum_exit(tmp_path, capsys):
     assert_one_error_line(cli.main(["--format", "json", "eig", path]), 4, capsys)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"\xff\xff\xff", "cannot read matrix file"),
+    (b"[1, 2]", "is not a JSON object"),
+], ids=["undecodable", "not-an-object"])
+def test_unusable_file_exit(tmp_path, capsys, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert cli.main(["eig", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("argv, env_tol", [
     (["--tol", "nan", "eig", "FILE"], None),
     (["--tol", "inf", "eig", "FILE"], None),
@@ -254,6 +267,7 @@ def test_overflowing_spectrum_exit(tmp_path, capsys):
     (["qadj", "FILE", "--lambda", "nan"], None),
     (["qadj", "FILE", "--lambda", "inf"], None),
     (["qadj", "FILE", "--lambda=-inf"], None),
+    (["random", "2", "--seed", "-1"], None),
 ])
 def test_bad_numeric_option_exit(example_file, capsys, monkeypatch, argv, env_tol):
     if env_tol is not None:

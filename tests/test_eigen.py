@@ -23,20 +23,17 @@ def herm(rows):
 # ---------------------------------------------------------------- Jacobi
 
 def test_symmetric_eig_diagonal():
-    values, V = symmetric_eig(np.diag([3.0, 1.0, 2.0]))
+    values = symmetric_eig(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(values, [1, 2, 3])
-    assert np.allclose(np.abs(V), np.eye(3)[:, [1, 2, 0]])
 
 
 def test_symmetric_eig_2x2():
-    values, V = symmetric_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    values = symmetric_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(values, [-1, 1])
-    S = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.max(np.abs(S @ V - V @ np.diag(values))) < 1e-10
 
 
 def test_symmetric_eig_lift_of_example(example_matrix):
-    values, _ = symmetric_eig(real_lift(example_matrix))
+    values = symmetric_eig(real_lift(example_matrix))
     lo, hi = (5 - SQRT13) / 2, (5 + SQRT13) / 2
     assert np.allclose(values, [lo] * 4 + [hi] * 4, atol=1e-9)
 
@@ -46,10 +43,16 @@ def test_symmetric_eig_matches_numpy():
     for n in (2, 5, 9):
         S = rng.uniform(-1, 1, (n, n))
         S = S + S.T
-        values, V = symmetric_eig(S)
+        values = symmetric_eig(S)
         assert np.allclose(values, np.linalg.eigvalsh(S), atol=1e-9)
-        assert np.max(np.abs(S @ V - V * values)) < 1e-8 * (1 + np.max(np.abs(S)))
-        assert np.max(np.abs(V.T @ V - np.eye(n))) < 1e-10
+
+
+@pytest.mark.parametrize("S", [np.array([[-2.5]]), np.zeros((3, 3))])
+def test_symmetric_eig_early_return_is_ascending_1d(S):
+    values = symmetric_eig(S)
+    assert values.shape == (len(S),)
+    assert np.all(np.diff(values) >= 0)
+    assert np.array_equal(values, np.diag(S))
 
 
 def test_symmetric_eig_rejects_asymmetric():
@@ -83,7 +86,7 @@ def test_right_eigenvalues_quadruples():
     for n in (2, 3, 4, 5, 6):
         H = random_hermitian(n, rng)
         lift = real_lift(H.inner)
-        values, _ = symmetric_eig(lift)
+        values = symmetric_eig(lift)
         tol = 1e-8 * (1.0 + np.max(np.abs(lift)))
         for t in range(n):
             quad = values[4 * t:4 * t + 4]

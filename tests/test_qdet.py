@@ -253,6 +253,41 @@ def test_batched_sums_overflow_like_the_scalar_loop():
     assert_matches_scalar(QMatrix([[Quaternion(math.inf), I], [J, K]]))
 
 
+# ----------------------------------- the adjugate as a row-determinant cofactor
+
+def scalar_rdet(A, p):
+    """Kyrchei's rdet_p (0-based p), one Quaternion product at a time: each
+    permutation's first cycle starts at row p, every other cycle at its
+    smallest row, the cycles in ascending order of that row."""
+    n = A.n_rows
+    total = Quaternion()
+    for perm in itertools.permutations(range(n)):
+        term, cycles, unused, r = Quaternion(1.0), 0, set(range(n)), p
+        while unused:
+            cycles += 1
+            while r in unused:
+                unused.remove(r)
+                term = term * A[r, perm[r]]
+                r = perm[r]
+            r = min(unused, default=None)
+        total = total + term * float((-1) ** (n - cycles))
+    return total
+
+
+def test_qadj_is_the_row_determinant_cofactor():
+    # qadj(A)[p, q] = rdet_p(A with column p replaced by e_q), entry by entry
+    rng = np.random.default_rng(35)
+    for n in range(2, 6):
+        for A in (random_hermitian(n, rng).inner, random_qmatrix(n, n, rng)):
+            Q = qadj(A)
+            for p, q in itertools.product(range(n), repeat=2):
+                B = A.data.copy()
+                B[:, :, p] = 0.0
+                B[0, q, p] = 1.0
+                want = scalar_rdet(QMatrix.from_data(B), p)
+                assert Q[p, q].isclose(want, 1e-12), (n, p, q)
+
+
 # ------------------------------------------------- what pins the kernel
 
 def test_row_expansion_makes_no_quaternion_products(monkeypatch):

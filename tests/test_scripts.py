@@ -20,7 +20,6 @@ def run_script(name, *args):
 
 @pytest.mark.parametrize("name, args, header", [
     ("residual_survey.py", ("--n-max", "3", "--trials", "1"), "adjugate_identity"),
-    ("discover_natural_order.py", (), "=== n = 3 ==="),
 ])
 def test_script_runs(name, args, header):
     done = run_script(name, *args)
