@@ -9,7 +9,8 @@ from .qmatrix import (HermitianQMatrix, QMatrix, conj_transpose,
 from .qdet import det, det_invariance_check, qadj, row_expansion
 from .eigen import (EigenPair, EEIReport, HermitianSolve, Spectrum,
                     eei_modulus, eei_report, eigenvector_from_qadj,
-                    right_eigenvalues, symmetric_eig, verify_outer_product)
+                    identity_residuals, right_eigenvalues, symmetric_eig,
+                    verify_outer_product)
 from .oracle import (NullSpaceResult, cauchy_binet_residual, null_space,
                      traditional_eigenpairs)
 from . import errors

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import eigen, oracle, qdet, qmatrix, random_matrices
+from . import eigen, qdet, qmatrix, random_matrices
 from .errors import (ComplexityLimit, DegenerateEigenvalue, DimensionMismatch,
                      IdentityViolation, IndexOutOfRange, NonFiniteResult,
                      NotHermitian, NotSquare, QeeiError)
@@ -60,7 +60,8 @@ def load_matrix_file(path):
         with open(path, "rb") as fh:
             raw = fh.read()
         doc = json.loads(raw)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"matrix file {path} is not a JSON object")
@@ -75,10 +76,13 @@ def load_matrix_file(path):
     for key, comp in zip(("re", "im_i", "im_j", "im_k"), comps):
         try:
             arr = np.asarray(comp, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"component {key} is not numeric: {exc}") from exc
         if arr.shape != (n, n):
             raise ParseError(f"component {key} is not {n} x {n}")
+        # asarray also reads strings and booleans as numbers
+        if not all(type(x) in (int, float) for row in comp for x in row):
+            raise ParseError(f"component {key} has an entry that is not a number")
         if not np.isfinite(arr).all():
             raise ParseError(f"component {key} has a NaN or infinite entry")
         arrays.append(arr)
@@ -95,7 +99,7 @@ def matrix_to_doc(A: QMatrix):
 
 def base_report(args, echo, digest, tol):
     return {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.command,
+        "command": " ".join(args.argv),
         "input_digest": digest,
         "matrix": echo,
         "tolerances": {"tol": tol},
@@ -215,38 +219,9 @@ def cmd_qadj(args, tol, fmt):
 def cmd_verify(args, tol, fmt):
     A, echo, digest = load_matrix_file(args.file)
     H = qmatrix.validate_hermitian(A)
-    n = H.n
     solve = eigen.HermitianSolve(H)
     scale = residual_scale(A)
-
-    reports = eigen.eei_report(solve)
-    eei_max = max(r.residual for r in reports)
-    outer_max = max(eigen.verify_outer_product(solve, i) for i in range(1, n + 1))
-
-    dA = qdet.det(A)
-    Q = qdet.qadj(A)
-    dE = qmatrix.scale_left(dA, qmatrix.identity(n))
-    adj_identity = max((qmatrix.matmul(Q, A) - dE).norm_inf(),
-                       (qmatrix.matmul(A, Q) - dE).norm_inf())
-
-    prod = 1.0
-    for v in solve.spectrum.values:
-        prod *= v
-    det_vs_product = (dA - prod).modulus()
-
-    pairs = [eigen.eigenvector_from_qadj(solve, i) for i in range(1, n + 1)]
-    V = QMatrix.from_data(np.concatenate([pair.vector.data for pair in pairs],
-                                         axis=2))
-    gram = qmatrix.matmul(qmatrix.conj_transpose(V), V)
-    unitarity = (gram - qmatrix.identity(n)).norm_inf()
-
-    residuals = {
-        "eei_max": eei_max,
-        "outer_product_max": outer_max,
-        "adjugate_identity": adj_identity,
-        "det_vs_eigenvalue_product": det_vs_product,
-        "unitarity": unitarity,
-    }
+    residuals = eigen.identity_residuals(solve)
     report = base_report(args, echo, digest, tol)
     report["spectrum"] = list(solve.spectrum.values)
     report["residuals"] = residuals
@@ -312,8 +287,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         tol = parse_tol(args.tol if args.tol is not None
                         else os.environ.get("QEEI_TOL", DEFAULT_TOL))

@@ -307,3 +307,33 @@ def verify_outer_product(A, i: int) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = QMatrix.from_data(outer.data * c)
     return (solve.adjugate(i) - scaled).norm_inf()
+
+
+def identity_residuals(A) -> dict:
+    """The largest residual of each identity `qeei verify` checks: the EEI,
+    qadj(lam*E - A) = c v v*, qadj(A) A = A qadj(A) = det(A) E,
+    det(A) = prod lam and V* V = E for the eigenvectors V = [v_1 .. v_n]."""
+    n = A.n
+    solve = as_solve(A)
+    eei_max = max(r.residual for r in eei_report(solve))
+    outer_max = max(verify_outer_product(solve, i) for i in range(1, n + 1))
+
+    M = solve.A.inner
+    dA = qdet.det(M)
+    Q = qdet.qadj(M)
+    dE = qmatrix.scale_left(dA, qmatrix.identity(n))
+    adj_identity = max((qmatrix.matmul(Q, M) - dE).norm_inf(),
+                       (qmatrix.matmul(M, Q) - dE).norm_inf())
+    det_vs_product = (dA - math.prod(solve.spectrum.values, start=1.0)).modulus()
+
+    pairs = [eigenvector_from_qadj(solve, i) for i in range(1, n + 1)]
+    V = QMatrix.from_data(np.concatenate([pair.vector.data for pair in pairs],
+                                         axis=2))
+    gram = qmatrix.matmul(qmatrix.conj_transpose(V), V)
+    return {
+        "eei_max": eei_max,
+        "outer_product_max": outer_max,
+        "adjugate_identity": adj_identity,
+        "det_vs_eigenvalue_product": det_vs_product,
+        "unitarity": (gram - qmatrix.identity(n)).norm_inf(),
+    }

@@ -240,10 +240,19 @@ def test_overflowing_spectrum_exit(tmp_path, capsys):
     assert_one_error_line(cli.main(["--format", "json", "eig", path]), 4, capsys)
 
 
+def example_bytes(**parts):
+    return json.dumps({**EXAMPLE_DOC, **parts}).encode()
+
+
 @pytest.mark.parametrize("raw, message", [
     (b"\xff\xff\xff", "cannot read matrix file"),
     (b"[1, 2]", "is not a JSON object"),
-], ids=["undecodable", "not-an-object"])
+    (b"[" * 100_000 + b"]" * 100_000, "cannot read matrix file"),
+    (example_bytes(re=[[10 ** 400, 0], [0, 2]]), "is not numeric"),
+    (example_bytes(re=[["3", "0"], ["0", "2"]]), "is not a number"),
+    (example_bytes(re=[[True, False], [False, True]]), "is not a number"),
+], ids=["undecodable", "not-an-object", "deep-nesting", "401-digit-integer",
+        "string-entries", "boolean-entries"])
 def test_unusable_file_exit(tmp_path, capsys, raw, message):
     path = tmp_path / "bad.json"
     path.write_bytes(raw)
@@ -302,6 +311,22 @@ def test_verify_solves_each_matrix_once(tmp_path, capsys, monkeypatch):
     assert (len(eigs), len(adjs)) == (5, 5)
     # matrices are arrays: no scalar quaternion products on the way
     assert products == []
+
+
+def test_verify_reports_identity_residuals(tmp_path, capsys):
+    H = random_hermitian_gapped(4, np.random.default_rng(11))
+    path = write_doc(tmp_path, "gapped.json", cli.matrix_to_doc(H.inner))
+    code, report = run_json(capsys, ["verify", path])
+    expected = eigen.identity_residuals(H)
+    assert code == 0
+    assert ([(k, float.hex(v)) for k, v in report["residuals"].items()]
+            == [(k, float.hex(v)) for k, v in expected.items()])
+
+
+def test_command_field_is_the_parsed_argv(example_file, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host", "--host-flag"])
+    _, report = run_json(capsys, ["eig", example_file])
+    assert report["command"] == f"--format json eig {example_file}"
 
 
 def test_parser_is_built_once_per_process(example_file, capsys, monkeypatch):
