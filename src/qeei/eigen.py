@@ -18,12 +18,10 @@ import numpy as np
 
 from . import qdet, qmatrix
 from .errors import (DegenerateEigenvalue, GroupingFailure, IdentityViolation,
-                     IndexOutOfRange, NoConvergence, NonFiniteResult,
-                     NotSymmetric, PivotFailure)
+                     IndexOutOfRange, NonFiniteResult, NotSymmetric,
+                     PivotFailure)
 from .qmatrix import HermitianQMatrix, QMatrix
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_TOL = 1e-12    # Jacobi stops at off-diagonal norm <= tol * ||S||_F
 SYMMETRY_TOL = 1e-10      # symmetric_eig: |S - S^T| <= tol * (1 + max |S|)
 GROUPING_TOL = 1e-7       # lift quadruple spread < tol * (1 + max |lift|)
 SIMPLE_TOL = 1e-6         # require_simple: gap > tol * (1 + spectral range)
@@ -76,52 +74,15 @@ class EEIReport:
 
 
 def symmetric_eig(S):
-    """Ascending eigenvalues of a real symmetric matrix, by cyclic Jacobi."""
+    """Ascending eigenvalues of a real symmetric matrix: LAPACK's symmetric
+    solver, through np.linalg.eigvalsh, on the symmetrised S."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {S.shape}")
-    n = S.shape[0]
     scale = 1.0 + np.max(np.abs(S)) if S.size else 1.0
     if np.max(np.abs(S - S.T)) > SYMMETRY_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
-
-    A = 0.5 * (S + S.T)
-    with np.errstate(over="ignore"):  # a huge entry gives fnorm = inf
-        fnorm = np.linalg.norm(A)
-    if fnorm == 0.0 or n == 1:
-        return np.diag(A).copy()
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # measure off-diagonal mass entrywise; the ||A||_F^2 - sum(diag^2)
-        # shortcut cancels catastrophically near convergence
-        off_entries = A - np.diag(np.diag(A))
-        off = np.linalg.norm(off_entries)
-        if off <= JACOBI_OFF_TOL * fnorm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                _rotate(A, p, q, c, s)
-    else:
-        raise NoConvergence(
-            f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-    return np.sort(np.diag(A), kind="stable")
-
-
-def _rotate(A, p, q, c, s):
-    rp, rq = A[p, :].copy(), A[q, :].copy()
-    A[p, :] = c * rp - s * rq
-    A[q, :] = s * rp + c * rq
-    cp, cq = A[:, p].copy(), A[:, q].copy()
-    A[:, p] = c * cp - s * cq
-    A[:, q] = s * cp + c * cq
-    A[p, q] = A[q, p] = 0.0
+    return np.linalg.eigvalsh(0.5 * (S + S.T))
 
 
 def right_eigenvalues(A: HermitianQMatrix) -> Spectrum:
@@ -133,7 +94,7 @@ def right_eigenvalues(A: HermitianQMatrix) -> Spectrum:
     # solve lift / 2**e < 1: exact, and huge entries cannot overflow
     e = np.frexp(top)[1]
     values = symmetric_eig(np.ldexp(lift, -e))
-    with np.errstate(over="ignore"):  # not around the solve: slows its scalars
+    with np.errstate(over="ignore"):  # only the scaling back can overflow
         values = np.ldexp(values, e)
     if not np.isfinite(values).all():
         raise NonFiniteResult("a right eigenvalue overflows to an infinity")

@@ -39,10 +39,6 @@ class NotSymmetric(QeeiError):
     """Real eigensolver input is not symmetric."""
 
 
-class NoConvergence(QeeiError):
-    """Jacobi sweeps did not reduce the off-diagonal mass in time."""
-
-
 class GroupingFailure(QeeiError):
     """Eigenvalues of the real lift do not split into clean quadruples."""
 

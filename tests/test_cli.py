@@ -227,6 +227,35 @@ def test_huge_block_spectrum(tmp_path, capsys):
         assert abs(value - closed_form) <= 1e-12 * a
 
 
+def dominated_spectrum(path, capsys):
+    code = cli.main(["--format", "json", "eig", path])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 0 and report["status"] == "ok" and err == ""
+    return report["spectrum"]
+
+
+def assert_rel_close(values, expected, rel=1e-12):
+    assert len(values) == len(expected)
+    for value, closed_form in zip(values, expected):
+        assert abs(value - closed_form) <= rel * abs(closed_form)
+
+
+def test_dominant_1e120_entry_spectrum(tmp_path, capsys):
+    # the 1e120 row and column are decoupled to O(1e-120): the small values
+    # are those of the trailing block [[2, .3], [.3, -1]], 0.5 -+ sqrt(2.34)
+    spectrum = dominated_spectrum(huge_entry_file(tmp_path), capsys)
+    expected = [0.5 - math.sqrt(2.34), 0.5 + math.sqrt(2.34), 1e120]
+    assert_rel_close(spectrum, expected)
+
+
+def test_dominant_1e300_entry_spectrum(tmp_path, capsys):
+    # trailing block [[1, .1], [.1, 1]]: 0.9 and 1.1
+    path = real_file(tmp_path, "huge300.json",
+                     [[1e300, 0.1, 0.1], [0.1, 1.0, 0.1], [0.1, 0.1, 1.0]])
+    assert_rel_close(dominated_spectrum(path, capsys), [0.9, 1.1, 1e300])
+
+
 @pytest.mark.parametrize("argv", [["det"], ["qadj"], ["qadj", "--lambda", "0.7"]])
 def test_overflowing_det_and_qadj_exit(tmp_path, capsys, argv):
     path = huge_block_file(tmp_path)

@@ -28,7 +28,8 @@ def defined():
 
 def test_documented_values_are_the_constants():
     table = documented()
-    assert len(table) >= 10
+    # one row per constant; the count comes from the code, not a literal
+    assert table and len(table) == len(set(defined()))
     for (mod, name), value in table.items():
         assert getattr(importlib.import_module(f"qeei.{mod}"), name) == value, name
 

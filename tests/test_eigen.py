@@ -93,6 +93,36 @@ def test_right_eigenvalues_quadruples():
             assert quad[-1] - quad[0] < tol
 
 
+def complex_adjoint(A):
+    """chi(A) = [[A1, A2], [-conj(A2), conj(A1)]] for A = A1 + A2 j: a 2n x 2n
+    Hermitian matrix whose eigenvalues are the right eigenvalues, twice."""
+    w, x, y, z = A.inner.data
+    A1, A2 = w + 1j * x, y + 1j * z
+    return np.block([[A1, A2], [-A2.conj(), A1.conj()]])
+
+
+def test_right_eigenvalues_match_the_complex_adjoint():
+    # an independent route: complex 2n x 2n instead of the real 4n x 4n lift
+    rng = np.random.default_rng(25)
+    for n in range(1, 9):
+        for _ in range(5):
+            H = random_hermitian(n, rng)
+            expected = np.linalg.eigvalsh(complex_adjoint(H))[::2]
+            values = np.array(right_eigenvalues(H).values)
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(values - expected)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("k", [-500, -100, 100, 500])
+def test_right_eigenvalues_scale_exactly_by_powers_of_two(k):
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 3, 5, 8):
+        H = random_hermitian(n, rng)
+        scaled = validate_hermitian(QMatrix.from_data(np.ldexp(H.inner.data, k)))
+        expected = [math.ldexp(v, k) for v in right_eigenvalues(H).values]
+        assert list(right_eigenvalues(scaled).values) == expected
+
+
 def test_grouping_failure_on_tight_tol(example_hermitian, monkeypatch):
     # max |lift| = 3 on the example, so the tolerance is 2.5e-19 * 4 = 1e-18
     monkeypatch.setattr(eigen, "GROUPING_TOL", 2.5e-19)
