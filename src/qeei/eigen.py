@@ -5,7 +5,8 @@ right eigenvalues each repeated four times.  Eigenvector component moduli
 come from the eigenvector-eigenvalue identity (ratio of products of
 spectral gaps against minor spectra); full eigenvectors come from one
 column of the quaternion adjugate of lambda*E - A, which is a rank-one
-outer product c * v v*.  HermitianSolve computes each of these once.
+outer product c * v v*: the column whose EEI modulus is largest.
+HermitianSolve computes each of these once.
 """
 
 from __future__ import annotations
@@ -75,12 +76,13 @@ class EEIReport:
 
 def symmetric_eig(S):
     """Ascending eigenvalues of a real symmetric matrix: LAPACK's symmetric
-    solver, through np.linalg.eigvalsh, on the symmetrised S."""
+    solver, through np.linalg.eigvalsh, on the symmetrised S.  A 0 x 0
+    matrix has an empty spectrum."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {S.shape}")
     scale = 1.0 + np.max(np.abs(S)) if S.size else 1.0
-    if np.max(np.abs(S - S.T)) > SYMMETRY_TOL * scale:
+    if S.size and np.max(np.abs(S - S.T)) > SYMMETRY_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh(0.5 * (S + S.T))
 
@@ -157,7 +159,8 @@ def _kept(method):
 
 class HermitianSolve:
     """A Hermitian matrix and its spectrum; minor spectra, gap products,
-    shifted adjugates and eigenpairs are computed on first use and kept."""
+    shifted adjugate columns, shifted adjugates and eigenpairs are computed
+    on first use and kept."""
 
     def __init__(self, A: HermitianQMatrix):
         self.A = A
@@ -189,27 +192,40 @@ class HermitianSolve:
         return math.prod((lam - mu for mu in minor), start=1.0)
 
     @_kept
+    def adjugate_column(self, iq) -> np.ndarray:
+        """Column q (0-based) of qadj(lambda_i E - A), for iq = (i, q)."""
+        i, q = iq
+        shifted = lambda_shift(self.A.inner, self.eigenvalue(i))
+        column = qdet.adjugate_column(shifted, q)
+        column.flags.writeable = False
+        return column
+
+    @_kept
     def adjugate(self, i: int) -> QMatrix:
-        """qadj(lambda_i E - A), which equals c_i v_i v_i*."""
-        return qdet.qadj(lambda_shift(self.A.inner, self.eigenvalue(i)))
+        """qadj(lambda_i E - A), which equals c_i v_i v_i*, from its kept
+        columns."""
+        return QMatrix.from_data(np.stack(
+            [self.adjugate_column((i, q)) for q in range(self.n)], axis=2))
 
     @_kept
     def eigenpair(self, i: int) -> EigenPair:
-        """Unit v_i from the adjugate column through its largest diagonal entry."""
+        """Unit v_i from one column of the shifted adjugate: column m, where
+        the EEI weight |v_m|^2 = prod(lambda_i - mu(M_m)) / c_i is largest."""
         n = self.n
         lam = self.eigenvalue(i)
         c = self.gap_product(i)
-        Q = self.adjugate(i)
-
-        # diagonal of Q is c * |v_m|^2; pick the dominant component
-        weights = [w / c for w in Q.data[0].diagonal().tolist()]
+        weights = [self.minor_gap_product(i, j) / c for j in range(1, n + 1)]
         m = max(range(n), key=lambda t: weights[t])
         if not all(map(math.isfinite, weights)) or weights[m] < PIVOT_WEIGHT_TOL:
-            raise PivotFailure("no finite, usable diagonal pivot in qadj "
+            raise PivotFailure("no finite, usable EEI pivot weight "
+                               "(the gap products overflow or vanish)")
+        column = self.adjugate_column((i, m))
+        if not np.isfinite(column).all():
+            raise PivotFailure("the pivot column of qadj is not finite "
                                "(rank-one structure lost)")
         vm = math.sqrt(weights[m])
         with np.errstate(over="ignore", invalid="ignore"):
-            column = Q.data[:, :, m] * (1.0 / (vm * c))
+            column = column * (1.0 / (vm * c))
         column[:, m] = (vm, 0.0, 0.0, 0.0)
         v = QMatrix.from_data(column[:, :, None])
         return EigenPair(lam, v, m + 1, residual(self.A.inner, v, lam),
@@ -244,7 +260,9 @@ def eigenvector_from_qadj(A, i: int) -> EigenPair:
 
 
 def eei_report(A) -> list:
-    """Both sides of the identity for every (i, j), via the adjugate route."""
+    """Both sides of the identity for every (i, j): the left side c_i |v_ij|^2
+    is the diagonal of qadj(lambda_i E - A), the right side comes from the
+    minor spectra alone."""
     n = A.n
     solve = as_solve(A)
     for i in range(1, n + 1):  # all simple before any adjugate is built
@@ -252,9 +270,8 @@ def eei_report(A) -> list:
     reports = []
     for i in range(1, n + 1):
         rhs = [solve.minor_gap_product(i, j) for j in range(1, n + 1)]
-        c = solve.gap_product(i)
-        v = solve.eigenpair(i).vector
-        reports += [EEIReport(i, j, v[j - 1, 0].norm_sq() * c, rhs[j - 1])
+        lhs = solve.adjugate(i).data[0].diagonal().tolist()
+        reports += [EEIReport(i, j, lhs[j - 1], rhs[j - 1])
                     for j in range(1, n + 1)]
     return reports
 

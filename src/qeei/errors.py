@@ -52,7 +52,8 @@ class IdentityViolation(QeeiError):
 
 
 class PivotFailure(QeeiError):
-    """No usable diagonal pivot in the adjugate (rank-one structure lost)."""
+    """No usable pivot: a non-finite or vanishing EEI weight, or a non-finite
+    pivot column of the adjugate (rank-one structure lost)."""
 
 
 class NonFiniteResult(QeeiError):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import eigen, qdet, qmatrix
 from .errors import DegenerateEigenvalue, DimensionMismatch, NoZeroEigenvalue
 from .quat import Quaternion
@@ -100,6 +102,26 @@ def traditional_eigenpairs(A) -> list:
         norm = eigen.vector_norm(v)
         pairs.append(eigen.EigenPair(lam, v, m, res, abs(norm - 1.0)))
     return pairs
+
+
+def spectral_adjugate(M: QMatrix) -> QMatrix:
+    """qadj(M) of a Hermitian M as U diag(prod over k != j of mu_k) U*.
+
+    For Hermitian M Kyrchei's cofactors equal det(M) M^-1, and det(M) is
+    the product of the right eigenvalues, so the formula holds for
+    singular M too.  It is evaluated on the lift: eigh gives
+    real_lift(M) = W diag(mu) W^T with mu in quadruples, and
+    W diag(p (x) 1_4) W^T, p_j the product of the other quadruple means,
+    is the lift of qadj(M); its first block row holds the components.
+    Shares nothing with the permutation sums of qdet.
+    """
+    n = M.n_rows
+    mu, W = np.linalg.eigh(qmatrix.real_lift(M))
+    means = mu.reshape(n, 4).mean(axis=1)
+    others = [np.prod(np.delete(means, j)) for j in range(n)]
+    lift = (W * np.repeat(others, 4)) @ W.T
+    return qmatrix.from_components(
+        *(lift[:n, c * n:(c + 1) * n] for c in range(4)))
 
 
 def cauchy_binet_residual(A: HermitianQMatrix, B: QMatrix) -> float:

@@ -105,6 +105,30 @@ def row_expansion(A: QMatrix) -> Quaternion:
     return _permutation_sum(A, "row")
 
 
+def adjugate_column(A: QMatrix, q: int) -> np.ndarray:
+    """Column q (0-based) of qadj(A) as a (4, n) component array.
+
+    Entry p is +|A_pp|^row for p = q and -|A_qp|^row otherwise (1-based
+    natural submatrices; see qadj); a 1x1 matrix gives e_1.
+    """
+    n = A.n_rows
+    if not A.is_square():
+        raise NotSquare(f"qadj needs a square matrix, got {A.shape}")
+    if n > MAX_FACTORIAL_DIM:
+        raise ComplexityLimit(
+            f"n = {n} exceeds the factorial-sum cap n <= {MAX_FACTORIAL_DIM}")
+    if not 0 <= q < n:
+        raise IndexOutOfRange(f"adjugate column {q} outside 0..{n - 1}")
+    column = np.zeros((4, n))
+    if n == 1:
+        column[0, 0] = 1.0
+        return column
+    for p in range(n):
+        val = row_expansion(natural_submatrix(A, q + 1, p + 1))
+        column[:, p] = (val if p == q else -val).components()
+    return column
+
+
 def qadj(A: QMatrix) -> QMatrix:
     """Quaternion adjugate: Kyrchei's row-determinant cofactors.
 
@@ -122,23 +146,10 @@ def qadj(A: QMatrix) -> QMatrix:
     #cycles does not: -|A_qp|^row.  The 0x0 row expansion is 1, so qadj
     of a 1x1 matrix is [[1]].  The adjugate the paper lists for its 2x2
     example pins this orientation: entry (1, 2) is -a_12, not -a_21.
+    adjugate_column evaluates the columns.
     """
-    n = A.n_rows
-    if not A.is_square():
-        raise NotSquare(f"qadj needs a square matrix, got {A.shape}")
-    if n > MAX_FACTORIAL_DIM:
-        raise ComplexityLimit(
-            f"n = {n} exceeds the factorial-sum cap n <= {MAX_FACTORIAL_DIM}")
-    if n == 1:
-        return QMatrix([[Quaternion(1.0)]])
-    out = []
-    for p in range(1, n + 1):
-        row = []
-        for q in range(1, n + 1):
-            val = row_expansion(natural_submatrix(A, q, p))
-            row.append(val if p == q else -val)
-        out.append(row)
-    return QMatrix(out)
+    columns = [adjugate_column(A, q) for q in range(A.n_rows)]
+    return QMatrix.from_data(np.stack(columns, axis=2))
 
 
 def det_invariance_check(H: HermitianQMatrix, k: int, j: int, lam) -> float:

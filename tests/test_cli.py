@@ -332,12 +332,16 @@ def test_verify_solves_each_matrix_once(tmp_path, capsys, monkeypatch):
     H = random_hermitian_gapped(4, np.random.default_rng(11))
     path = write_doc(tmp_path, "gapped.json", cli.matrix_to_doc(H.inner))
     eigs = count_calls(monkeypatch, eigen, "symmetric_eig")
-    adjs = count_calls(monkeypatch, qdet, "qadj")
+    expansions = count_calls(monkeypatch, qdet, "row_expansion")
+    dets = count_calls(monkeypatch, qdet, "det")
     products = count_calls(monkeypatch, Quaternion, "__mul__")
     code, report = run_json(capsys, ["verify", path])
     assert code == 0 and report["status"] == "ok"
-    # one spectrum and four minor spectra; four shifted adjugates and qadj(A)
-    assert (len(eigs), len(adjs)) == (5, 5)
+    # one spectrum and four minor spectra; the 16 entries of each of the four
+    # shifted adjugates and of qadj(A), the pivot columns among them; det(A)
+    assert len(eigs) == 5
+    assert [A.shape for (A,) in expansions] == [(3, 3)] * 80
+    assert len(dets) == 1
     # matrices are arrays: no scalar quaternion products on the way
     assert products == []
 

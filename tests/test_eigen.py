@@ -7,8 +7,11 @@ from qeei import (HermitianSolve, QMatrix, conj_transpose, eei_modulus,
                   eei_report, eigenvector_from_qadj, identity, matmul, minor,
                   real_lift, right_eigenvalues, symmetric_eig,
                   validate_hermitian, verify_outer_product)
-from qeei import eigen, qdet
-from qeei.errors import (DegenerateEigenvalue, GroupingFailure, NotSymmetric)
+from qeei import eigen, qdet, qmatrix
+from qeei.eigen import lambda_shift
+from qeei.oracle import spectral_adjugate
+from qeei.errors import (DegenerateEigenvalue, GroupingFailure, NotSymmetric,
+                         PivotFailure)
 from qeei.quat import I, J, K, Quaternion
 from qeei.random_matrices import random_hermitian, random_hermitian_gapped
 
@@ -30,6 +33,11 @@ def test_symmetric_eig_diagonal():
 def test_symmetric_eig_2x2():
     values = symmetric_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(values, [-1, 1])
+
+
+def test_symmetric_eig_of_empty_matrix():
+    values = symmetric_eig(np.zeros((0, 0)))
+    assert values.shape == (0,)
 
 
 def test_symmetric_eig_lift_of_example(example_matrix):
@@ -291,19 +299,67 @@ def test_eigenvector_solves_once(monkeypatch):
     eigs = count_calls(monkeypatch, eigen, "symmetric_eig")
     adjs = count_calls(monkeypatch, qdet, "qadj")
     eigenvector_from_qadj(H, 2)
-    assert (len(eigs), len(adjs)) == (1, 1)
+    # the spectrum and four minor spectra pick the pivot; no full adjugate
+    assert (len(eigs), len(adjs)) == (5, 0)
 
 
 def test_solve_keeps_each_result(monkeypatch):
     H = random_hermitian_gapped(4, np.random.default_rng(23))
     solve = HermitianSolve(H)
     eigs = count_calls(monkeypatch, eigen, "symmetric_eig")
-    adjs = count_calls(monkeypatch, qdet, "qadj")
+    cols = count_calls(monkeypatch, qdet, "adjugate_column")
     for _ in range(2):
         eei_report(solve)
         for i in range(1, 5):
             verify_outer_product(solve, i)
             eigenvector_from_qadj(solve, i)
-    # four minor spectra and four shifted adjugates, each built once
-    assert (len(eigs), len(adjs)) == (4, 4)
+    # four minor spectra, and the 16 columns of the four shifted adjugates,
+    # each built once
+    assert len(eigs) == 4
+    assert len(cols) == len({(S.data.tobytes(), q) for S, q in cols}) == 16
     assert solve.eigenpair(3) is eigenvector_from_qadj(solve, 3)
+
+
+def test_non_finite_pivot_column_is_a_pivot_failure():
+    # eigenvalues 0, 1e150, 1e155 in a rotated basis: the EEI weights of
+    # lambda_1 are finite, but the 2x2 cofactors of the shifted matrix
+    # multiply entries of ~3e154 and overflow
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    U = np.array([[1, 0, 0], [0, c, -s], [0, s, c]]) @ np.array(
+        [[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    A0 = U @ np.diag([0.0, 1e150, 1e155]) @ U.T
+    zero = np.zeros((3, 3))
+    solve = HermitianSolve(validate_hermitian(
+        qmatrix.from_components(0.5 * (A0 + A0.T), zero, zero, zero)))
+    weights = [solve.minor_gap_product(1, j) / solve.gap_product(1)
+               for j in range(1, 4)]
+    assert all(map(math.isfinite, weights))
+    with pytest.raises(PivotFailure, match="pivot column"):
+        solve.eigenpair(1)
+
+
+def diagonal_pivot_vector(Q, c):
+    """The vector as it was built before the pivot came from the minor
+    spectra: pivot m where the diagonal of Q = c v v* is largest, column m
+    scaled by 1 / (c conj(v_m)) with v_m real."""
+    weights = Q.data[0].diagonal() / c
+    m = int(np.argmax(weights))
+    vm = math.sqrt(weights[m])
+    column = Q.data[:, :, m] / (vm * c)
+    column[:, m] = (vm, 0.0, 0.0, 0.0)
+    return column, m + 1
+
+
+def test_pivot_column_matches_the_full_adjugate_route():
+    # references: the full qadj for n <= 7, the spectral adjugate at n = 8
+    rng = np.random.default_rng(25)
+    for n in range(2, 9):
+        for _ in range(2 if n < 8 else 1):
+            solve = HermitianSolve(random_hermitian_gapped(n, rng))
+            for i in range(1, n + 1):
+                S = lambda_shift(solve.A.inner, solve.eigenvalue(i))
+                Q = qdet.qadj(S) if n < 8 else spectral_adjugate(S)
+                want, m = diagonal_pivot_vector(Q, solve.gap_product(i))
+                pair = solve.eigenpair(i)
+                assert pair.pivot_index == m, (n, i)
+                assert np.max(np.abs(pair.vector.data[:, :, 0] - want)) < 1e-12

@@ -7,6 +7,8 @@ from qeei import (QMatrix, cauchy_binet_residual, eigenvector_from_qadj,
                   identity, matmul, null_space, real_lift, right_eigenvalues,
                   traditional_eigenpairs, validate_hermitian, zeros)
 from qeei.eigen import lambda_shift
+from qeei.oracle import spectral_adjugate
+from qeei.qdet import adjugate_column, qadj
 from qeei.errors import DimensionMismatch, NoZeroEigenvalue
 from qeei.quat import Quaternion
 from qeei.random_matrices import (random_hermitian, random_hermitian_gapped,
@@ -124,3 +126,21 @@ def test_cauchy_binet_requires_singular(example_hermitian):
         lambda_shift(example_hermitian.inner, spec[0]))
     with pytest.raises(DimensionMismatch):
         cauchy_binet_residual(shifted, zeros(2))
+
+
+def test_spectral_adjugate_agrees_with_qadj():
+    # random Hermitian A and every lambda_i E - A; at n = 8 each shifted
+    # matrix is checked through one column, the full qadj there costs ~0.1 s
+    rng = np.random.default_rng(24)
+    for n in range(2, 9):
+        H = random_hermitian(n, rng)
+        shifts = [lambda_shift(H.inner, lam) for lam in right_eigenvalues(H).values]
+        for k, M in enumerate([H.inner] + shifts):
+            want = spectral_adjugate(M)
+            scale = want.norm_inf()
+            if n < 8 or k == 0:
+                assert (qadj(M) - want).norm_inf() <= 1e-12 * scale, (n, k)
+            else:
+                got = adjugate_column(M, k - 1)
+                dev = np.sqrt(((got - want.data[:, :, k - 1]) ** 2).sum(axis=0)).max()
+                assert dev <= 1e-12 * scale, (n, k)

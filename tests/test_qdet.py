@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from qeei import (QMatrix, det, det_invariance_check, eigenvector_from_qadj,
-                  identity, matmul, qadj, right_eigenvalues, row_expansion,
-                  validate_hermitian)
+                  identity, matmul, natural_submatrix, qadj, right_eigenvalues,
+                  row_expansion, validate_hermitian)
 from qeei import qdet
 from qeei.errors import ComplexityLimit, IndexOutOfRange, NotSquare
-from qeei.qdet import permutation_terms
+from qeei.qdet import adjugate_column, permutation_terms
 from qeei.quat import I, J, K, Quaternion
 from qeei.random_matrices import (random_hermitian, random_hermitian_gapped,
                                   random_qmatrix)
@@ -153,6 +153,31 @@ def test_complexity_limit():
 
 def test_qadj_1x1():
     assert qadj(QMatrix([[Quaternion(5, 1, 2, 3)]])) == QMatrix([[1]])
+
+
+def test_adjugate_column_1x1_and_range():
+    A = QMatrix([[Quaternion(5, 1, 2, 3)]])
+    assert adjugate_column(A, 0).tolist() == [[1.0], [0.0], [0.0], [0.0]]
+    for q in (-1, 1):
+        with pytest.raises(IndexOutOfRange):
+            adjugate_column(A, q)
+    with pytest.raises(NotSquare):
+        adjugate_column(QMatrix([[1, 2]]), 0)
+
+
+def test_qadj_columns_are_the_cofactor_entries_bit_for_bit():
+    # entry (p, q), 1-based: +|A_pp|^row on the diagonal, -|A_qp|^row off it
+    rng = np.random.default_rng(36)
+    for n in range(2, 6):
+        A = random_qmatrix(n, n, rng)
+        rows = [[row_expansion(natural_submatrix(A, q, p)) for q in range(1, n + 1)]
+                for p in range(1, n + 1)]
+        rows = [[a if p == q else -a for q, a in enumerate(row)]
+                for p, row in enumerate(rows)]
+        Q = qadj(A)
+        assert np.array_equal(Q.data, QMatrix(rows).data)
+        for q in range(n):
+            assert np.array_equal(adjugate_column(A, q), Q.data[:, :, q])
 
 
 def test_qadj_example_listing(example_matrix):
@@ -317,11 +342,12 @@ def test_complexity_limit_builds_no_table(monkeypatch):
     assert tables == []
 
 
-def test_eigenvector_at_7_expands_49_minors_of_size_6(monkeypatch):
+def test_eigenvector_at_7_expands_7_minors_of_size_6(monkeypatch):
     H = random_hermitian_gapped(7, np.random.default_rng(34))
     expansions = count_calls(monkeypatch, qdet, "row_expansion")
     products = count_calls(monkeypatch, Quaternion, "__mul__")
     eigenvector_from_qadj(H, 4)
-    assert [A.shape for (A,) in expansions] == [(6, 6)] * 49
+    # one adjugate column, the pivot column the EEI weights choose
+    assert [A.shape for (A,) in expansions] == [(6, 6)] * 7
     # the reconstruction works on arrays: no scalar quaternion products
     assert products == []
