@@ -46,11 +46,15 @@ class Spectrum:
     def spectral_range(self):
         return self.values[-1] - self.values[0]
 
+    @functools.cached_property
+    def _gaps(self):
+        steps = [b - a for a, b in zip(self.values, self.values[1:])]
+        return [min(pair) for pair in zip([math.inf, *steps], [*steps, math.inf])]
+
     def gap(self, i):
-        """Distance from values[i-1] (1-based) to the rest of the spectrum."""
-        lam = self.values[i - 1]
-        others = [v for k, v in enumerate(self.values) if k != i - 1]
-        return min((abs(lam - v) for v in others), default=math.inf)
+        """Distance from values[i-1] (1-based) to the rest of the spectrum:
+        to the nearer of its neighbours, as the values ascend."""
+        return self._gaps[i - 1]
 
 
 @dataclass(frozen=True)
@@ -75,41 +79,46 @@ class EEIReport:
 
 
 def symmetric_eig(S):
-    """Ascending eigenvalues of a real symmetric matrix: LAPACK's symmetric
-    solver, through np.linalg.eigvalsh, on the symmetrised S.  A 0 x 0
-    matrix has an empty spectrum."""
+    """Ascending eigenvalues of each real symmetric matrix of a (..., m, m)
+    stack: LAPACK's symmetric solver, through np.linalg.eigvalsh, on the
+    symmetrised S, each checked at its own scale.  0 x 0 gives no values."""
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise NotSymmetric(f"expected a square matrix, got shape {S.shape}")
-    scale = 1.0 + np.max(np.abs(S)) if S.size else 1.0
-    if S.size and np.max(np.abs(S - S.T)) > SYMMETRY_TOL * scale:
+    scale = 1.0 + np.abs(S).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    if (np.abs(S - S.swapaxes(-1, -2)) > SYMMETRY_TOL * scale).any():
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh(0.5 * (S + S.T))
+    return np.linalg.eigvalsh(0.5 * (S + S.swapaxes(-1, -2)))
+
+
+def _right_spectra(stack) -> list:
+    """The Spectrum of each Hermitian matrix of a (4, b, m, m) stack, m >= 1,
+    from one symmetric_eig call on the b lifts."""
+    lifts = qmatrix.real_lift(stack)
+    top = np.abs(lifts).max(axis=(-2, -1))
+    grouping_tol = GROUPING_TOL * (1.0 + top)
+    # solve each lift / 2**e < 1: exact, and huge entries cannot overflow
+    e = np.frexp(top)[1]
+    values = symmetric_eig(np.ldexp(lifts, -e[:, None, None]))
+    with np.errstate(over="ignore"):  # only the scaling back can overflow
+        values = np.ldexp(values, e[:, None])
+    if not np.isfinite(values).all():
+        raise NonFiniteResult("a right eigenvalue overflows to an infinity")
+    quads = values.reshape(len(values), -1, 4)
+    spread = quads[..., -1] - quads[..., 0]
+    bad = spread >= grouping_tol[:, None]
+    if bad.any():
+        k, t = np.argwhere(bad)[0]
+        raise GroupingFailure(
+            f"lift eigenvalues around index {4 * t} spread {spread[k, t]:.3e} "
+            f">= grouping tol {grouping_tol[k]:.3e}")
+    return [Spectrum(tuple(grouped), tol)
+            for grouped, tol in zip(quads.mean(axis=2).tolist(), grouping_tol)]
 
 
 def right_eigenvalues(A: HermitianQMatrix) -> Spectrum:
     """Ascending right eigenvalues via the real lift's eigenvalue quadruples."""
-    n = A.n
-    lift = qmatrix.real_lift(A.inner)
-    top = np.max(np.abs(lift))
-    grouping_tol = GROUPING_TOL * (1.0 + top)
-    # solve lift / 2**e < 1: exact, and huge entries cannot overflow
-    e = np.frexp(top)[1]
-    values = symmetric_eig(np.ldexp(lift, -e))
-    with np.errstate(over="ignore"):  # only the scaling back can overflow
-        values = np.ldexp(values, e)
-    if not np.isfinite(values).all():
-        raise NonFiniteResult("a right eigenvalue overflows to an infinity")
-    grouped = []
-    for t in range(n):
-        quad = values[4 * t:4 * t + 4]
-        spread = quad[-1] - quad[0]
-        if spread >= grouping_tol:
-            raise GroupingFailure(
-                f"lift eigenvalues around index {4 * t} spread {spread:.3e} "
-                f">= grouping tol {grouping_tol:.3e}")
-        grouped.append(float(np.mean(quad)))
-    return Spectrum(tuple(grouped), grouping_tol)
+    return _right_spectra(A.inner.data[:, None])[0]
 
 
 def require_simple(spectrum: Spectrum, i: int) -> None:
@@ -167,16 +176,18 @@ class HermitianSolve:
         self.n = A.n
         self.spectrum = right_eigenvalues(A)
         self._kept = {}
+        self._columns = {}
 
     def eigenvalue(self, i: int) -> float:
         """lambda_i (1-based, ascending), which must be simple."""
         require_simple(self.spectrum, i)
         return self.spectrum[i - 1]
 
-    @_kept
-    def minor_spectrum(self, j: int) -> Spectrum:
-        """Spectrum of the minor M_j."""
-        return right_eigenvalues(qmatrix.minor(self.A, j))
+    @functools.cached_property
+    def minor_spectra(self) -> list:
+        """The Spectrum of each minor M_j (n >= 2), from one symmetric_eig call."""
+        return _right_spectra(np.stack([qmatrix.minor(self.A, j).inner.data
+                                        for j in range(1, self.n + 1)], axis=1))
 
     @_kept
     def gap_product(self, i: int) -> float:
@@ -187,25 +198,34 @@ class HermitianSolve:
 
     def minor_gap_product(self, i: int, j: int) -> float:
         """prod over mu in the spectrum of M_j of (lambda_i - mu) = c_i |v_ij|^2."""
+        if not 1 <= j <= self.n:
+            raise IndexOutOfRange(f"component index {j} outside 1..{self.n}")
         lam = self.eigenvalue(i)
-        minor = self.minor_spectrum(j).values if self.n > 1 else ()  # 0 x 0 minor
+        minor = self.minor_spectra[j - 1].values if self.n > 1 else ()  # 0 x 0 minor
         return math.prod((lam - mu for mu in minor), start=1.0)
 
-    @_kept
-    def adjugate_column(self, iq) -> np.ndarray:
-        """Column q (0-based) of qadj(lambda_i E - A), for iq = (i, q)."""
-        i, q = iq
-        shifted = lambda_shift(self.A.inner, self.eigenvalue(i))
-        column = qdet.adjugate_column(shifted, q)
-        column.flags.writeable = False
-        return column
+    def adjugate_columns(self, pairs) -> list:
+        """Column q (0-based) of qadj(lambda_i E - A) for each (i, q) in
+        pairs; the columns not kept yet come from one qdet.adjugate_columns
+        call and are kept."""
+        missing = [iq for iq in pairs if iq not in self._columns]
+        if missing:
+            shifts = sorted({i for i, _ in missing})
+            stack = np.stack([lambda_shift(self.A.inner, self.eigenvalue(i)).data
+                              for i in shifts], axis=1)
+            columns = qdet.adjugate_columns(
+                stack, [(shifts.index(i), q) for i, q in missing])
+            columns.flags.writeable = False
+            for k, iq in enumerate(missing):
+                self._columns[iq] = columns[:, :, k]
+        return [self._columns[iq] for iq in pairs]
 
     @_kept
     def adjugate(self, i: int) -> QMatrix:
         """qadj(lambda_i E - A), which equals c_i v_i v_i*, from its kept
         columns."""
         return QMatrix.from_data(np.stack(
-            [self.adjugate_column((i, q)) for q in range(self.n)], axis=2))
+            self.adjugate_columns([(i, q) for q in range(self.n)]), axis=2))
 
     @_kept
     def eigenpair(self, i: int) -> EigenPair:
@@ -219,7 +239,7 @@ class HermitianSolve:
         if not all(map(math.isfinite, weights)) or weights[m] < PIVOT_WEIGHT_TOL:
             raise PivotFailure("no finite, usable EEI pivot weight "
                                "(the gap products overflow or vanish)")
-        column = self.adjugate_column((i, m))
+        [column] = self.adjugate_columns([(i, m)])
         if not np.isfinite(column).all():
             raise PivotFailure("the pivot column of qadj is not finite "
                                "(rank-one structure lost)")
@@ -239,9 +259,6 @@ def as_solve(A) -> HermitianSolve:
 
 def eei_modulus(A, i: int, j: int) -> float:
     """|v_ij|^2 from eigenvalues of A and of the minor M_j alone."""
-    n = A.n
-    if not 1 <= j <= n:
-        raise IndexOutOfRange(f"component index {j} outside 1..{n}")
     solve = as_solve(A)
     ratio = solve.minor_gap_product(i, j) / solve.gap_product(i)
     if ratio < -CLAMP_TOL or ratio > 1.0 + CLAMP_TOL:
@@ -267,6 +284,8 @@ def eei_report(A) -> list:
     solve = as_solve(A)
     for i in range(1, n + 1):  # all simple before any adjugate is built
         solve.eigenvalue(i)
+    # every column of every shifted adjugate, in one batch
+    solve.adjugate_columns([(i, q) for i in range(1, n + 1) for q in range(n)])
     reports = []
     for i in range(1, n + 1):
         rhs = [solve.minor_gap_product(i, j) for j in range(1, n + 1)]

@@ -13,7 +13,8 @@ term differently, and over a non-commutative ring that changes the value:
 
 The quaternion adjugate qadj is Kyrchei's row-determinant cofactor,
 evaluated as row expansions of natural submatrices; it satisfies
-qadj(H) H = H qadj(H) = det(H) E for Hermitian H.
+qadj(H) H = H qadj(H) = det(H) E for Hermitian H.  One kernel,
+_permutation_sum, evaluates every sum, a batch of them per pass.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .quat import Quaternion, _coerce, hamilton
 from .qmatrix import HermitianQMatrix, QMatrix, natural_submatrix
 
 MAX_FACTORIAL_DIM = 8
+TERM_CAP = 5040  # terms per kernel pass; a larger sum runs alone
 
 
 def permutation_terms(n, order):
@@ -67,66 +69,125 @@ def _term_table(n, order):
     return signs, cells
 
 
-@qmatrix.quiet
-def _permutation_sum(A: QMatrix, order):
-    """All n! terms as one batched Hamilton product.
-
-    Each term starts at (sign, 0, 0, 0) and takes its factors through
-    quat.hamilton, the product behind Quaternion.__mul__, and the terms
-    are added one after another from 0 (cumsum, not the pairwise np.sum),
-    so the result is bit-identical to multiplying and adding Quaternion
-    objects in a loop.
-    """
-    n = A.n_rows
-    if not A.is_square():
-        raise NotSquare(f"determinant needs a square matrix, got {A.shape}")
+def _check_size(n):
     if n > MAX_FACTORIAL_DIM:
         raise ComplexityLimit(
             f"n = {n} exceeds the factorial-sum cap n <= {MAX_FACTORIAL_DIM}")
-    signs, cells = _term_table(n, order)
-    entries = A.data.reshape(4, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _cofactor_table(n):
+    """cells[q, p] holds the flat indices r*n + c, in an n x n matrix, of the
+    entries of its natural submatrix A_qp (1-based q+1, p+1), row by row:
+    read-only uint8 (n, n, (n - 1)**2).  Indexed by the cells of
+    _term_table(n - 1, "row"), it gives each cofactor's factors in A itself."""
+    cells = np.zeros((n, n, (n - 1) ** 2), dtype=np.uint8)
+    if n > 1:
+        index = np.zeros((4, n, n))
+        index[0] = np.arange(n * n).reshape(n, n)
+        index = QMatrix.from_data(index)
+        for q, p in itertools.product(range(n), repeat=2):
+            cells[q, p] = natural_submatrix(index, q + 1, p + 1).data[0].ravel()
+    cells.flags.writeable = False
+    return cells
+
+
+@qmatrix.quiet
+def _permutation_sum(entries, which, signs, cells):
+    """b permutation sums of t terms each, in one batched Hamilton product.
+
+    entries is a (4, s, N) stack of flat matrix entries; sum u multiplies,
+    into term t, the factors entries[:, which[u], cells[k, u, t]] for
+    k = 0, 1, ...  Each term starts at (signs[t], 0, 0, 0) and takes its
+    factors through quat.hamilton, the product behind Quaternion.__mul__,
+    and each sum adds its terms one after another from 0 (cumsum, not the
+    pairwise np.sum), so every result is bit-identical to multiplying and
+    adding Quaternion objects in a loop.  Returns the (4, b) sums.
+
+    Factors are gathered and sums taken one component at a time, so no
+    temporary outgrows a (b, t) array: at TERM_CAP terms a (4, b, t) one
+    passes malloc's mmap threshold and is paged in afresh on every pass.
+    """
     zero = np.zeros_like(signs)
     term = (signs, zero, zero, zero)
+    flat = entries.reshape(4, -1)
+    offsets = which[:, None] * entries.shape[2]
     for factor in cells:
-        term = hamilton(term, entries[:, factor])
-    terms = np.zeros((4, len(signs) + 1))
-    terms[:, 1:] = term
-    total = np.cumsum(terms, axis=1)[:, -1]
-    return Quaternion(*total.tolist())
+        index = offsets + factor
+        term = hamilton(term, [component.take(index) for component in flat])
+    terms = np.zeros((len(which), len(signs) + 1))
+    sums = np.empty((4, len(which)))
+    for total, values in zip(sums, term):
+        terms[:, 1:] = values
+        total[:] = np.cumsum(terms, axis=1)[:, -1]
+    return sums
+
+
+def _square_sum(A: QMatrix, order):
+    """The n!-term sum of A in one kernel pass."""
+    if not A.is_square():
+        raise NotSquare(f"determinant needs a square matrix, got {A.shape}")
+    _check_size(A.n_rows)
+    signs, cells = _term_table(A.n_rows, order)
+    total = _permutation_sum(A.data.reshape(4, 1, -1), np.zeros(1, dtype=int),
+                             signs, cells[:, None])
+    return Quaternion(*total[:, 0].tolist())
 
 
 def det(A: QMatrix) -> Quaternion:
     """Permutation determinant with descending-cycle-leader factor order."""
-    return _permutation_sum(A, "det")
+    return _square_sum(A, "det")
 
 
 def row_expansion(A: QMatrix) -> Quaternion:
     """|A|^row: factor order chains through the permutation from row 1."""
-    return _permutation_sum(A, "row")
+    return _square_sum(A, "row")
+
+
+def adjugate_columns(stack, wanted) -> np.ndarray:
+    """Columns of qadj for (matrix, column) pairs of a (4, s, n, n) stack.
+
+    Column k of the (4, n, len(wanted)) result is column q (0-based) of
+    qadj(stack[:, m]) for (m, q) = wanted[k]: entry p is +|A_pp|^row for
+    p = q and -|A_qp|^row otherwise (1-based natural submatrices; see
+    qadj), and a 1x1 matrix gives e_1.  All n * len(wanted) cofactor sums
+    go through the kernel in passes of at most TERM_CAP terms, counted in
+    whole sums (a sum larger than the cap runs alone), and each factor is
+    gathered from the stack through _cofactor_table, so no natural
+    submatrix is built.
+    """
+    stack = np.asarray(stack, dtype=float)
+    n = stack.shape[-1]
+    if stack.shape[-2] != n:
+        raise NotSquare(f"qadj needs a square matrix, got {stack.shape[-2:]}")
+    _check_size(n)
+    mats, qs = np.array(wanted, dtype=int).reshape(-1, 2).T
+    for index, bound, what in ((qs, n, "adjugate column"),
+                               (mats, stack.shape[1], "matrix")):
+        bad = index[(index < 0) | (index >= bound)]
+        if bad.size:
+            raise IndexOutOfRange(f"{what} {bad[0]} outside 0..{bound - 1}")
+    signs, cells = _term_table(n - 1, "row")
+    table = _cofactor_table(n)
+    # sum p * len(wanted) + k is entry p of column k
+    which, cols = np.tile(mats, n), np.tile(qs, n)
+    rows = np.repeat(np.arange(n), len(qs))
+    entries = stack.reshape(4, stack.shape[1], n * n)
+    sums = np.empty((4, len(which)))
+    per_pass = max(1, TERM_CAP // len(signs))
+    for lo in range(0, len(which), per_pass):
+        part = slice(lo, lo + per_pass)
+        factors = table[cols[part], rows[part]][:, cells].transpose(1, 0, 2)
+        sums[:, part] = _permutation_sum(entries, which[part], signs, factors)
+    sums = sums.reshape(4, n, len(qs))
+    off = np.arange(n)[:, None] != qs
+    sums[:, off] = np.negative(sums[:, off])
+    return sums
 
 
 def adjugate_column(A: QMatrix, q: int) -> np.ndarray:
-    """Column q (0-based) of qadj(A) as a (4, n) component array.
-
-    Entry p is +|A_pp|^row for p = q and -|A_qp|^row otherwise (1-based
-    natural submatrices; see qadj); a 1x1 matrix gives e_1.
-    """
-    n = A.n_rows
-    if not A.is_square():
-        raise NotSquare(f"qadj needs a square matrix, got {A.shape}")
-    if n > MAX_FACTORIAL_DIM:
-        raise ComplexityLimit(
-            f"n = {n} exceeds the factorial-sum cap n <= {MAX_FACTORIAL_DIM}")
-    if not 0 <= q < n:
-        raise IndexOutOfRange(f"adjugate column {q} outside 0..{n - 1}")
-    column = np.zeros((4, n))
-    if n == 1:
-        column[0, 0] = 1.0
-        return column
-    for p in range(n):
-        val = row_expansion(natural_submatrix(A, q + 1, p + 1))
-        column[:, p] = (val if p == q else -val).components()
-    return column
+    """Column q (0-based) of qadj(A) as a (4, n) component array."""
+    return adjugate_columns(A.data[:, None], [(0, q)])[:, :, 0]
 
 
 def qadj(A: QMatrix) -> QMatrix:
@@ -146,10 +207,10 @@ def qadj(A: QMatrix) -> QMatrix:
     #cycles does not: -|A_qp|^row.  The 0x0 row expansion is 1, so qadj
     of a 1x1 matrix is [[1]].  The adjugate the paper lists for its 2x2
     example pins this orientation: entry (1, 2) is -a_12, not -a_21.
-    adjugate_column evaluates the columns.
+    adjugate_columns evaluates them.
     """
-    columns = [adjugate_column(A, q) for q in range(A.n_rows)]
-    return QMatrix.from_data(np.stack(columns, axis=2))
+    return QMatrix.from_data(
+        adjugate_columns(A.data[:, None], [(0, q) for q in range(A.n_cols)]))
 
 
 def det_invariance_check(H: HermitianQMatrix, k: int, j: int, lam) -> float:

@@ -254,13 +254,14 @@ def natural_orders(n, i, j):
     return row_order, col_order
 
 
-def real_lift(A: QMatrix) -> np.ndarray:
-    """The 4n x 4n real block representation; a multiplicative homomorphism."""
-    A0, A1, A2, A3 = A.data
-    return np.block([
-        [A0, A1, A2, A3],
-        [-A1, A0, -A3, A2],
-        [-A2, A3, A0, -A1],
-        [-A3, -A2, A1, A0],
-    ])
-
+def real_lift(A) -> np.ndarray:
+    """The 4m x 4n real block representation, a multiplicative homomorphism;
+    a (4, ..., m, n) component stack gives the (..., 4m, 4n) lifts."""
+    w, x, y, z = A.data if isinstance(A, QMatrix) else A
+    *stack, m, n = w.shape
+    lift = np.empty((*stack, 4, m, 4, n))
+    for r, row in enumerate(((w, x, y, z), (-x, w, -z, y), (-y, z, w, -x),
+                             (-z, -y, x, w))):
+        for c, block in enumerate(row):
+            lift[..., r, :, c, :] = block
+    return lift.reshape(*stack, 4 * m, 4 * n)

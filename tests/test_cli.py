@@ -333,14 +333,18 @@ def test_verify_solves_each_matrix_once(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, "gapped.json", cli.matrix_to_doc(H.inner))
     eigs = count_calls(monkeypatch, eigen, "symmetric_eig")
     expansions = count_calls(monkeypatch, qdet, "row_expansion")
+    passes = count_calls(monkeypatch, qdet, "_permutation_sum")
     dets = count_calls(monkeypatch, qdet, "det")
     products = count_calls(monkeypatch, Quaternion, "__mul__")
     code, report = run_json(capsys, ["verify", path])
     assert code == 0 and report["status"] == "ok"
-    # one spectrum and four minor spectra; the 16 entries of each of the four
-    # shifted adjugates and of qadj(A), the pivot columns among them; det(A)
-    assert len(eigs) == 5
-    assert [A.shape for (A,) in expansions] == [(3, 3)] * 80
+    # one call for the spectrum and one for the four minor spectra
+    assert len(eigs) == 2
+    # kernel passes as (sums, terms per sum): the 64 entries of the four
+    # shifted adjugates, the pivot columns among them; det(A); the 16 of qadj(A)
+    assert [(len(which), len(signs)) for _, which, signs, _ in passes] == [
+        (64, 6), (1, 24), (16, 6)]
+    assert expansions == []
     assert len(dets) == 1
     # matrices are arrays: no scalar quaternion products on the way
     assert products == []

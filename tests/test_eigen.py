@@ -10,8 +10,8 @@ from qeei import (HermitianSolve, QMatrix, conj_transpose, eei_modulus,
 from qeei import eigen, qdet, qmatrix
 from qeei.eigen import lambda_shift
 from qeei.oracle import spectral_adjugate
-from qeei.errors import (DegenerateEigenvalue, GroupingFailure, NotSymmetric,
-                         PivotFailure)
+from qeei.errors import (DegenerateEigenvalue, GroupingFailure, IndexOutOfRange,
+                         NotSymmetric, PivotFailure)
 from qeei.quat import I, J, K, Quaternion
 from qeei.random_matrices import random_hermitian, random_hermitian_gapped
 
@@ -66,6 +66,27 @@ def test_symmetric_eig_early_return_is_ascending_1d(S):
 def test_symmetric_eig_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         symmetric_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_symmetric_eig_of_a_stack_solves_each_member():
+    rng = np.random.default_rng(41)
+    S = rng.uniform(-1, 1, (3, 5, 5))
+    S = S + S.swapaxes(1, 2)
+    values = symmetric_eig(S)
+    for member, got in zip(S, values):
+        assert np.array_equal(got, symmetric_eig(member))
+    assert symmetric_eig(np.zeros((3, 0, 0))).shape == (3, 0)
+
+
+def test_symmetric_eig_checks_each_member_against_its_own_scale():
+    # the 1e-7 asymmetry is far inside the tolerance of the 1e6 members,
+    # and far outside that of its own member
+    big = 1e6 * np.eye(3)
+    small = np.eye(3)
+    small[0, 1] = 1e-7
+    symmetric_eig(np.stack([big, big]))
+    with pytest.raises(NotSymmetric):
+        symmetric_eig(np.stack([big, small, big]))
 
 
 # ------------------------------------------------------- right eigenvalues
@@ -239,6 +260,68 @@ def test_eei_both_routes_agree():
                            - eei_modulus(H, i, j)) < 1e-7
 
 
+def same_floats(a, b):
+    return [float.hex(x) for x in a] == [float.hex(y) for y in b]
+
+
+def assert_same_spectrum(got, want):
+    assert same_floats(got.values, want.values)
+    assert same_floats([got.grouping_tol], [want.grouping_tol])
+
+
+def test_minor_spectra_equal_the_per_minor_route():
+    rng = np.random.default_rng(42)
+    for n in range(2, 9):
+        H = random_hermitian_gapped(n, rng)
+        solve = HermitianSolve(H)
+        for j in range(1, n + 1):
+            assert_same_spectrum(solve.minor_spectra[j - 1],
+                                 right_eigenvalues(minor(H, j)))
+    # row and column 1 scaled by 2**e: M_1 is of order 1, the other minors
+    # of order 2**(2e), and each is solved at its own scale
+    for e in (200, 300):
+        data = random_hermitian_gapped(4, rng).inner.data.copy()
+        data[:, 0] *= 2.0 ** e
+        data[:, :, 0] *= 2.0 ** e
+        H = validate_hermitian(QMatrix.from_data(data))
+        solve = HermitianSolve(H)
+        scales = [max(map(abs, s.values)) for s in solve.minor_spectra]
+        assert min(scales[1:]) > 2.0 ** (2 * e - 10) and scales[0] < 2.0 ** 10
+        for j in range(1, 5):
+            assert_same_spectrum(solve.minor_spectra[j - 1],
+                                 right_eigenvalues(minor(H, j)))
+
+
+def test_minor_gap_product_of_a_1x1_matrix_is_one():
+    # the 0 x 0 minor has an empty spectrum
+    solve = HermitianSolve(herm([[5]]))
+    assert solve.minor_gap_product(1, 1) == 1.0
+    with pytest.raises(IndexOutOfRange):
+        solve.minor_gap_product(1, 2)
+
+
+def test_batched_grouping_failure_reads_like_the_per_minor_one(monkeypatch):
+    # widen the second lift quadruple of every matrix whose first diagonal
+    # entry is negative: a_11 < 0 < a_22 puts it in M_2 and M_3, not M_1
+    H = herm([[-3, I, 0.5], [-I, 2, J], [0.5, -J, 1]])
+    solve = HermitianSolve(H)
+    original = eigen.symmetric_eig
+
+    def widened(S):
+        values = original(S)
+        values[..., 7] += np.where(S[..., 0, 0] < 0, 1.0, 0.0)
+        return values
+
+    monkeypatch.setattr(eigen, "symmetric_eig", widened)
+    right_eigenvalues(minor(H, 1))
+    with pytest.raises(GroupingFailure) as per_minor:
+        right_eigenvalues(minor(H, 2))
+    with pytest.raises(GroupingFailure) as batched:
+        solve.minor_spectra
+    assert "around index 4" in str(batched.value)
+    assert str(batched.value) == str(per_minor.value)
+
+
 def test_zero_component_matches_minor_spectrum():
     # block-diagonal input forces a zero component; the minor spectrum
     # must then contain the eigenvalue itself
@@ -253,6 +336,25 @@ def test_zero_component_matches_minor_spectrum():
     for lam in spec.values:
         if abs(lam - 9.0) > 1e-6:
             assert min(abs(lam - mu) for mu in minor_spec.values) < 1e-8
+
+
+def old_gap(values, i):
+    """Spectrum.gap as it was: the distance to every other value, minimised."""
+    lam = values[i - 1]
+    others = [v for k, v in enumerate(values) if k != i - 1]
+    return min((abs(lam - v) for v in others), default=math.inf)
+
+
+def test_gap_is_the_nearest_neighbour_distance():
+    rng = np.random.default_rng(43)
+    spectra = [tuple(sorted((rng.normal(size=n) * 10.0 ** rng.integers(-5, 6))
+                            .tolist())) for n in range(1, 9) for _ in range(25)]
+    spectra += [(1.0, 1.0, 2.0), (0.0, 0.0, 0.0), (-0.0, 0.0, 1.0),
+                (-1.0, 0.5, 0.5, 0.5, 3.0), (0.1, 0.2, 0.3, 0.4), (1.0,)]
+    for values in spectra:
+        spectrum = eigen.Spectrum(values, 0.0)
+        assert same_floats([spectrum.gap(i) for i in range(1, len(values) + 1)],
+                           [old_gap(values, i) for i in range(1, len(values) + 1)])
 
 
 # ------------------------------------------------------- outer product
@@ -299,24 +401,25 @@ def test_eigenvector_solves_once(monkeypatch):
     eigs = count_calls(monkeypatch, eigen, "symmetric_eig")
     adjs = count_calls(monkeypatch, qdet, "qadj")
     eigenvector_from_qadj(H, 2)
-    # the spectrum and four minor spectra pick the pivot; no full adjugate
-    assert (len(eigs), len(adjs)) == (5, 0)
+    # the spectrum and the four minor spectra (one call) pick the pivot; no
+    # full adjugate
+    assert (len(eigs), len(adjs)) == (2, 0)
 
 
 def test_solve_keeps_each_result(monkeypatch):
     H = random_hermitian_gapped(4, np.random.default_rng(23))
     solve = HermitianSolve(H)
     eigs = count_calls(monkeypatch, eigen, "symmetric_eig")
-    cols = count_calls(monkeypatch, qdet, "adjugate_column")
+    batches = count_calls(monkeypatch, qdet, "adjugate_columns")
     for _ in range(2):
         eei_report(solve)
         for i in range(1, 5):
             verify_outer_product(solve, i)
             eigenvector_from_qadj(solve, i)
-    # four minor spectra, and the 16 columns of the four shifted adjugates,
-    # each built once
-    assert len(eigs) == 4
-    assert len(cols) == len({(S.data.tobytes(), q) for S, q in cols}) == 16
+    # the four minor spectra in one call, and the 16 columns of the four
+    # shifted adjugates in one batch, each built once
+    assert len(eigs) == 1
+    assert [(len(wanted), len(set(wanted))) for _, wanted in batches] == [(16, 16)]
     assert solve.eigenpair(3) is eigenvector_from_qadj(solve, 3)
 
 

@@ -9,7 +9,8 @@ from qeei import (QMatrix, det, det_invariance_check, eigenvector_from_qadj,
                   row_expansion, validate_hermitian)
 from qeei import qdet
 from qeei.errors import ComplexityLimit, IndexOutOfRange, NotSquare
-from qeei.qdet import adjugate_column, permutation_terms
+from qeei.eigen import lambda_shift
+from qeei.qdet import adjugate_column, adjugate_columns, permutation_terms
 from qeei.quat import I, J, K, Quaternion
 from qeei.random_matrices import (random_hermitian, random_hermitian_gapped,
                                   random_qmatrix)
@@ -345,9 +346,100 @@ def test_complexity_limit_builds_no_table(monkeypatch):
 def test_eigenvector_at_7_expands_7_minors_of_size_6(monkeypatch):
     H = random_hermitian_gapped(7, np.random.default_rng(34))
     expansions = count_calls(monkeypatch, qdet, "row_expansion")
+    passes = count_calls(monkeypatch, qdet, "_permutation_sum")
     products = count_calls(monkeypatch, Quaternion, "__mul__")
     eigenvector_from_qadj(H, 4)
-    # one adjugate column, the pivot column the EEI weights choose
-    assert [A.shape for (A,) in expansions] == [(6, 6)] * 7
+    # one adjugate column, the pivot column the EEI weights choose: its 7
+    # cofactors of size 6 in one kernel pass of 7 * 720 terms
+    assert [(len(which), len(signs)) for _, which, signs, _ in passes] == [(7, 720)]
+    assert expansions == []
     # the reconstruction works on arrays: no scalar quaternion products
     assert products == []
+
+
+# ------------------------------------------- cofactor batches against the sums
+
+def per_sum_columns(stack, wanted):
+    """adjugate_columns the long way: one row_expansion per natural submatrix."""
+    n = stack.shape[-1]
+    columns = np.zeros((4, n, len(wanted)))
+    for k, (m, q) in enumerate(wanted):
+        A = QMatrix.from_data(stack[:, m])
+        if n == 1:
+            columns[0, 0, k] = 1.0
+            continue
+        for p in range(n):
+            val = row_expansion(natural_submatrix(A, q + 1, p + 1))
+            columns[:, p, k] = (val if p == q else -val).components()
+    return columns
+
+
+def assert_same_array_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_adjugate_columns_equal_the_per_sum_route(monkeypatch):
+    # two shifted Hermitian matrices and a general one per size; the pairs
+    # repeat until the sums need more than one pass of TERM_CAP terms
+    rng = np.random.default_rng(37)
+    passes = count_calls(monkeypatch, qdet, "_permutation_sum")
+    for n in range(1, 9):
+        H = random_hermitian_gapped(n, rng)
+        lams = right_eigenvalues(H).values
+        stack = np.stack([lambda_shift(H.inner, lams[0]).data,
+                          lambda_shift(H.inner, lams[-1]).data,
+                          random_qmatrix(n, n, rng).data], axis=1)
+        if n < 8:
+            unique = [(m, q) for m in range(3) for q in range(n)]
+        else:
+            unique = [(0, 2), (2, 7)]
+        per_pass = max(1, qdet.TERM_CAP // math.factorial(n - 1))
+        repeats = per_pass // (n * len(unique)) + 1
+        full, rest = divmod(n * len(unique) * repeats, per_pass)
+        assert full + (rest > 0) > 1
+        passes.clear()
+        got = adjugate_columns(stack, unique * repeats)
+        # full passes of per_pass sums, then the rest
+        assert [len(which) for _, which, _, _ in passes] == (
+            [per_pass] * full + [rest] * (rest > 0))
+        want = per_sum_columns(stack, unique)
+        assert_same_array_bits(got, np.tile(want, repeats))
+
+
+def test_adjugate_columns_keep_signed_zeros_and_overflow():
+    z = Quaternion(-0.0, -0.0, -0.0, -0.0)
+    big = Quaternion(1e300, -1e300, 2.0, 1e300)
+    for n in (3, 4, 5):
+        zeros = QMatrix([[z if (p + q) % 2 else Quaternion(0.0, -0.0, 1.0)
+                          for q in range(n)] for p in range(n)])
+        huge = QMatrix([[big if p == q else Quaternion(0.5, 1e300, -0.0)
+                         for q in range(n)] for p in range(n)])
+        stack = np.stack([zeros.data, huge.data], axis=1)
+        wanted = [(m, q) for m in range(2) for q in range(n)]
+        want = per_sum_columns(stack, wanted)
+        # the inputs do reach signed zeros and NaN
+        signed = want[:, :, :n]
+        assert np.signbit(signed[signed == 0]).any() and np.isnan(want).any()
+        assert_same_array_bits(adjugate_columns(stack, wanted), want)
+
+
+def test_adjugate_columns_at_9_build_no_table(monkeypatch):
+    tables = count_calls(monkeypatch, qdet, "_term_table")
+    cofactors = count_calls(monkeypatch, qdet, "_cofactor_table")
+    with pytest.raises(ComplexityLimit):
+        adjugate_columns(np.zeros((4, 1, 9, 9)), [(0, 0)])
+    with pytest.raises(ComplexityLimit):
+        adjugate_column(QMatrix([[1] * 9 for _ in range(9)]), 0)
+    assert tables == [] and cofactors == []
+
+
+def test_adjugate_columns_check_their_indices():
+    stack = np.zeros((4, 2, 3, 3))
+    for wanted in ([(0, 3)], [(2, 0)], [(-1, 0)]):
+        with pytest.raises(IndexOutOfRange):
+            adjugate_columns(stack, wanted)
+    with pytest.raises(NotSquare):
+        adjugate_columns(np.zeros((4, 1, 2, 3)), [(0, 0)])
+    assert adjugate_columns(stack, []).shape == (4, 3, 0)

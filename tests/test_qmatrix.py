@@ -110,6 +110,15 @@ def test_real_lift_homomorphism_random():
                            real_lift(A + B), atol=1e-12)
 
 
+def test_real_lift_of_a_stack_lifts_each_member():
+    rng = np.random.default_rng(3)
+    mats = [random_qmatrix(3, 2, rng) for _ in range(4)]
+    lifts = real_lift(np.stack([A.data for A in mats], axis=1))
+    assert lifts.shape == (4, 12, 8)
+    for A, lift in zip(mats, lifts):
+        assert np.array_equal(lift, real_lift(A))
+
+
 def test_real_lift_of_hermitian_is_symmetric():
     rng = np.random.default_rng(2)
     H = random_hermitian(3, rng)
