@@ -22,6 +22,7 @@ from .errors import (DegenerateEigenvalue, GroupingFailure, IdentityViolation,
                      IndexOutOfRange, NonFiniteResult, NotSymmetric,
                      PivotFailure)
 from .qmatrix import HermitianQMatrix, QMatrix
+from .quat import ordered_sum
 
 SYMMETRY_TOL = 1e-10      # symmetric_eig: |S - S^T| <= tol * (1 + max |S|)
 GROUPING_TOL = 1e-7       # lift quadruple spread < tol * (1 + max |lift|)
@@ -145,9 +146,10 @@ def lambda_shift(A: QMatrix, lam: float) -> QMatrix:
 
 @qmatrix.quiet
 def vector_norm(v: QMatrix) -> float:
-    """Euclidean norm over all entries (squares added one after another)."""
+    """Euclidean norm over all entries: the square root of the ordered_sum
+    of the squared moduli, row by row."""
     w, x, y, z = v.data
-    return math.sqrt(sum((w * w + x * x + y * y + z * z).ravel().tolist()))
+    return math.sqrt(ordered_sum((w * w + x * x + y * y + z * z).ravel()))
 
 
 def residual(A: QMatrix, v: QMatrix, lam: float) -> float:

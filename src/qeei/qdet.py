@@ -26,11 +26,11 @@ import numpy as np
 
 from . import qmatrix
 from .errors import ComplexityLimit, IndexOutOfRange, NotSquare
-from .quat import Quaternion, _coerce, hamilton
+from .quat import Quaternion, _coerce, hamilton, ordered_sum
 from .qmatrix import HermitianQMatrix, QMatrix, natural_submatrix
 
 MAX_FACTORIAL_DIM = 8
-TERM_CAP = 5040  # terms per kernel pass; a larger sum runs alone
+TERM_CAP = 5040  # terms per kernel pass; a longer sum is added in chunks
 
 
 def permutation_terms(n, order):
@@ -94,32 +94,34 @@ def _cofactor_table(n):
 
 @qmatrix.quiet
 def _permutation_sum(entries, which, signs, cells):
-    """b permutation sums of t terms each, in one batched Hamilton product.
+    """b permutation sums of t terms each, in batched Hamilton products.
 
     entries is a (4, s, N) stack of flat matrix entries; sum u multiplies,
     into term t, the factors entries[:, which[u], cells[k, u, t]] for
     k = 0, 1, ...  Each term starts at (signs[t], 0, 0, 0) and takes its
     factors through quat.hamilton, the product behind Quaternion.__mul__,
-    and each sum adds its terms one after another from 0 (cumsum, not the
-    pairwise np.sum), so every result is bit-identical to multiplying and
-    adding Quaternion objects in a loop.  Returns the (4, b) sums.
+    and each sum is the quat.ordered_sum of its terms, so every result is
+    bit-identical to multiplying and adding Quaternion objects in a loop.
+    Returns the (4, b) sums.
 
-    Factors are gathered and sums taken one component at a time, so no
-    temporary outgrows a (b, t) array: at TERM_CAP terms a (4, b, t) one
+    The terms go in chunks of at most TERM_CAP, each summed on from the
+    running totals, and factors are gathered and sums taken one component
+    at a time.  So with b * t <= TERM_CAP or b = 1, as the callers keep
+    it, no temporary holds much more than TERM_CAP floats: a larger one
     passes malloc's mmap threshold and is paged in afresh on every pass.
     """
-    zero = np.zeros_like(signs)
-    term = (signs, zero, zero, zero)
     flat = entries.reshape(4, -1)
     offsets = which[:, None] * entries.shape[2]
-    for factor in cells:
-        index = offsets + factor
-        term = hamilton(term, [component.take(index) for component in flat])
-    terms = np.zeros((len(which), len(signs) + 1))
-    sums = np.empty((4, len(which)))
-    for total, values in zip(sums, term):
-        terms[:, 1:] = values
-        total[:] = np.cumsum(terms, axis=1)[:, -1]
+    # (b, 1) zeros broadcast against every factor; with no factor (a 0 x 0
+    # matrix) there is one term, so they already have the (b, t) shape
+    zero = np.zeros((len(which), 1))
+    sums = np.zeros((4, len(which)))
+    for lo in range(0, len(signs), TERM_CAP):
+        term = (signs[lo:lo + TERM_CAP] + zero, zero, zero, zero)
+        for factor in cells[:, :, lo:lo + TERM_CAP]:
+            index = offsets + factor
+            term = hamilton(term, [component.take(index) for component in flat])
+        sums = np.array([ordered_sum(v, s) for v, s in zip(term, sums)])
     return sums
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotHermitian, NotSquare
-from .quat import Quaternion, _coerce, hamilton
+from .quat import Quaternion, _coerce, hamilton, ordered_sum
 
 # decorator: overflow and inf - inf give inf/NaN silently, as Python floats do
 quiet = np.errstate(over="ignore", invalid="ignore")
@@ -158,14 +158,11 @@ def from_components(A0, A1, A2, A3):
 
 @quiet
 def matmul(A: QMatrix, B: QMatrix) -> QMatrix:
-    """Entry (p, q) adds the products A[p, k] B[k, q] one k after another
-    from 0, as a loop over Quaternion objects would."""
+    """Entry (p, q) is the ordered_sum over k of A[p, k] B[k, q]."""
     if A.n_cols != B.n_rows:
         raise DimensionMismatch(f"matmul {A.shape} x {B.shape}")
-    out = np.zeros((4, A.n_rows, B.n_cols))
-    for k in range(A.n_cols):
-        out = out + np.array(hamilton(A.data[:, :, k, None], B.data[:, None, k]))
-    return QMatrix.from_data(out)
+    return QMatrix.from_data(ordered_sum(
+        hamilton(A.data[:, :, None], B.data.transpose(0, 2, 1)[:, None])))
 
 
 def conj_transpose(A: QMatrix) -> QMatrix:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ZeroDivisor
 
 
@@ -113,6 +115,23 @@ def hamilton(a, b):
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     )
+
+
+def ordered_sum(terms, start=0.0):
+    """Sum over the last axis, adding the terms one after another to start
+    as `total = start; total += t` does in a loop: a cumulative sum led by
+    start (+0.0, so all -0.0 terms give +0.0), not numpy's pairwise np.sum
+    nor the compensated builtin sum of Python 3.12+.  Every quaternion sum
+    in the package goes through here, so each is bit-identical to adding
+    Quaternion objects (or Python floats) in a loop.  start broadcasts
+    against terms[..., 0], so a long sum can be added in chunks, each
+    started at the previous total.  Like hamilton on arrays, it warns on
+    overflow unless the caller silences numpy (qmatrix.quiet)."""
+    terms = np.asarray(terms, dtype=float)
+    led = np.empty((*terms.shape[:-1], terms.shape[-1] + 1))
+    led[..., 0] = start
+    led[..., 1:] = terms
+    return np.add.accumulate(led, axis=-1, out=led)[..., -1].copy()
 
 
 def _coerce(value) -> Quaternion:

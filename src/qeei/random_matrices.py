@@ -7,27 +7,25 @@ import numpy as np
 from . import eigen
 from .errors import DegenerateEigenvalue
 from .qmatrix import HermitianQMatrix, QMatrix, validate_hermitian
-from .quat import Quaternion
-
-
-def random_quaternion(rng) -> Quaternion:
-    return Quaternion(*rng.uniform(-1.0, 1.0, 4))
 
 
 def random_qmatrix(n_rows, n_cols, rng) -> QMatrix:
-    return QMatrix([[random_quaternion(rng) for _ in range(n_cols)]
-                    for _ in range(n_rows)])
+    """Components uniform on [-1, 1), drawn entry by entry, row by row."""
+    return QMatrix.from_data(
+        np.moveaxis(rng.uniform(-1.0, 1.0, (n_rows, n_cols, 4)), -1, 0))
 
 
 def random_hermitian(n, rng) -> HermitianQMatrix:
-    rows = [[None] * n for _ in range(n)]
+    """Row by row: a real diagonal entry uniform on [-2, 2), then the entries
+    right of it with components uniform on [-1, 1); the lower triangle is
+    their conjugate."""
+    data = np.zeros((4, n, n))
     for p in range(n):
-        rows[p][p] = Quaternion(float(rng.uniform(-2.0, 2.0)))
-        for q in range(p + 1, n):
-            a = random_quaternion(rng)
-            rows[p][q] = a
-            rows[q][p] = a.conj()
-    return validate_hermitian(QMatrix(rows))
+        data[0, p, p] = rng.uniform(-2.0, 2.0)
+        upper = rng.uniform(-1.0, 1.0, (n - p - 1, 4)).T
+        data[:, p, p + 1:] = upper
+        data[:, p + 1:, p] = upper * [[1.0], [-1.0], [-1.0], [-1.0]]
+    return validate_hermitian(QMatrix.from_data(data))
 
 
 def random_hermitian_gapped(n, rng, min_gap=1e-3, max_tries=200) -> HermitianQMatrix:

@@ -184,6 +184,13 @@ def test_eei_modulus_degenerate():
         eei_modulus(A, 1, 1)
 
 
+def test_vector_norm_adds_the_squares_in_order():
+    # each 2**-54 square rounds away against 1.0; a compensated sum (Python
+    # 3.12+'s builtin sum) would keep the 16 of them and give 1 + 2**-51
+    v = QMatrix([[1.0]] + [[2.0 ** -27]] * 16)
+    assert eigen.vector_norm(v).hex() == (1.0).hex()
+
+
 # ------------------------------------------------- eigenvector reconstruction
 
 def test_eigenvector_example(example_hermitian):

@@ -279,6 +279,22 @@ def test_batched_sums_overflow_like_the_scalar_loop():
     assert_matches_scalar(QMatrix([[Quaternion(math.inf), I], [J, K]]))
 
 
+def test_chunked_sums_equal_the_scalar_loop(monkeypatch):
+    # sums longer than TERM_CAP are added in chunks, each started at the
+    # running total; a cap of 5 chunks every sum from n = 3 on
+    monkeypatch.setattr(qdet, "TERM_CAP", 5)
+    rng = np.random.default_rng(36)
+    z = Quaternion(-0.0, -0.0, -0.0, -0.0)
+    big = Quaternion(1e300, -1e300, 2.0, 1e300)
+    for n in range(1, 6):
+        assert_matches_scalar(random_qmatrix(n, n, rng))
+        assert_matches_scalar(QMatrix([[z if p == q else Quaternion(-0.0, 0.0, -1.0)
+                                        for q in range(n)] for p in range(n)]))
+    assert_matches_scalar(QMatrix([[big, Quaternion(1e300), I], [J, big.conj(), K],
+                                   [Quaternion(0.5, 1e300), K, big]]))
+    assert_matches_scalar(QMatrix([[Quaternion(math.inf), I], [J, K]]))
+
+
 # ----------------------------------- the adjugate as a row-determinant cofactor
 
 def scalar_rdet(A, p):

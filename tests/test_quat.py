@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeei.errors import ZeroDivisor
-from qeei.quat import I, J, K, ONE, Quaternion
+from qeei.quat import I, J, K, ONE, Quaternion, ordered_sum
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 quaternions = st.builds(Quaternion, finite, finite, finite, finite)
@@ -96,3 +97,47 @@ def test_conj_product_is_norm(q):
     n = q.norm_sq()
     assert (q.conj() * q).isclose(Quaternion(n), 1e-10 * (1 + n))
     assert (q * q.conj()).isclose(Quaternion(n), 1e-10 * (1 + n))
+
+
+# ------------------------------------------------- the one summation order
+
+def loop_sum(terms, start=0.0):
+    total = start
+    for t in terms:
+        total += t
+    return total
+
+
+def assert_same_float(got, want):
+    assert float(got).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("terms", [
+    [], [-0.0], [-0.0, -0.0, -0.0], [0.0, -0.0], [1.0, -1.0, -0.0],
+    [1.0, 2.0 ** -53, 2.0 ** -53], [1e308, 1e308, -1e308], [math.inf, -1.0],
+    [math.inf, -math.inf, 1.0], [1.0, math.nan, 2.0], [0.1] * 10,
+], ids=repr)
+def test_ordered_sum_is_the_loop(terms):
+    with np.errstate(over="ignore", invalid="ignore"):  # the loop is silent too
+        assert_same_float(ordered_sum(terms), loop_sum(terms))
+        assert_same_float(ordered_sum(terms, -0.0), loop_sum(terms, -0.0))
+
+
+def test_ordered_sum_is_not_compensated():
+    # the loop rounds each step: 1 + 2**-53 is 1, twice; fsum keeps the tail
+    terms = [1.0, 2.0 ** -53, 2.0 ** -53]
+    assert_same_float(ordered_sum(terms), 1.0)
+    assert math.fsum(terms) != 1.0
+    assert_same_float(ordered_sum([-0.0] * 5), 0.0)
+
+
+def test_ordered_sum_sums_the_last_axis_in_chunks():
+    terms = np.random.default_rng(3).standard_normal((3, 2, 50))
+    terms[0, 0, :] = -0.0
+    whole = ordered_sum(terms)
+    assert whole.shape == (3, 2)
+    for index in np.ndindex(3, 2):
+        assert_same_float(whole[index], loop_sum(terms[index].tolist()))
+    chunked = ordered_sum(terms[..., 20:], ordered_sum(terms[..., :20]))
+    assert np.array_equal(chunked, whole)
+    assert np.array_equal(np.signbit(chunked), np.signbit(whole))
