@@ -14,19 +14,25 @@ term differently, and over a non-commutative ring that changes the value:
 The quaternion adjugate qadj is Kyrchei's row-determinant cofactor,
 evaluated as row expansions of natural submatrices; it satisfies
 qadj(H) H = H qadj(H) = det(H) E for Hermitian H.  One kernel,
-_permutation_sum, evaluates every sum, a batch of them per pass.
+_permutation_sum, evaluates every sum, a batch of them per pass.  It walks
+the permutation tree of the terms (D. E. Knuth, TAOCP 4A, 7.2.1.2) level
+by level, so terms that share a prefix of factors share its product, and
+it works in scratch arrays kept per (size, order, batch), so a pass makes
+no temporary of the sums' size.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import threading
 
 import numpy as np
 
 from . import qmatrix
 from .errors import ComplexityLimit, IndexOutOfRange, NotSquare
-from .quat import Quaternion, _coerce, hamilton, ordered_sum
+from .quat import Quaternion, _coerce, hamilton_into, ordered_sum
 from .qmatrix import HermitianQMatrix, QMatrix, natural_submatrix
 
 MAX_FACTORIAL_DIM = 8
@@ -53,20 +59,88 @@ def permutation_terms(n, order):
         yield (-1 if (n - n_cycles) % 2 else 1), cells
 
 
-@functools.lru_cache(maxsize=None)
 def _term_table(n, order):
-    """(signs, cells) for permutation_terms(n, order), read-only: signs is a
-    float (n!,) array; cells[k, t] is the flat index r*n + c of term t's
-    k-th factor, uint8 because n * n <= 64."""
-    signs, cells = [], []
-    for sign, term in permutation_terms(n, order):
-        signs.append(sign)
-        cells.append([r * n + c for r, c in term])
-    signs = np.array(signs, dtype=float)
-    cells = np.array(cells, dtype=np.uint8).T.copy()
-    signs.flags.writeable = False
-    cells.flags.writeable = False
-    return signs, cells
+    """(signs, cells) for permutation_terms(n, order): signs is a float
+    (n!,) array; cells[k, t] is the flat index r*n + c of term t's k-th
+    factor, uint8 because n * n <= 64.  All n! permutations, in
+    itertools.permutations order, walk their cycles together, one factor
+    per step.  _term_tree keeps what the kernel needs of it."""
+    perms = np.zeros((1, 0), dtype=np.intp)
+    for size in range(1, n + 1):
+        # lexicographic order: each first value f, then the permutations
+        # of size - 1 values with f skipped
+        first = np.repeat(np.arange(size), len(perms))[:, None]
+        rest = np.tile(perms, (size, 1))
+        perms = np.hstack([first, rest + (rest >= first)])
+    terms = np.arange(len(perms))
+    seen = np.zeros(perms.shape, dtype=bool)
+    cycles = np.zeros(len(perms), dtype=np.intp)
+    cells = np.empty((n, len(perms)), dtype=np.uint8)
+    r = np.zeros(len(perms), dtype=np.intp)
+    for k in range(n):
+        # a closed cycle (at k = 0, every term) starts the next at the
+        # first unused row: ascending for "row", descending for "det"
+        closed = seen[terms, r] if k else np.ones(len(perms), dtype=bool)
+        unused = ~seen[closed]
+        r[closed] = (unused.argmax(axis=1) if order == "row"
+                     else n - 1 - unused[:, ::-1].argmax(axis=1))
+        cycles += closed
+        seen[terms, r] = True
+        cells[k] = r * n + perms[terms, r]
+        r = perms[terms, r]
+    return np.where((n - cycles) % 2, -1.0, 1.0), cells
+
+
+class _TermTree:
+    """The permutation tree of the n! terms of one size and order.
+
+    Level k (1..n) holds the N_k = n!/(n - k)! distinct k-factor prefixes
+    of the terms.  A prefix fixes the next factor's row and leaves n - k
+    unused columns, so every node at level k - 1 has n - k + 1 children.
+    levels[k - 1] is (cells, parents): cells[j] is the flat cell r*n + c
+    of node j's k-th factor, and node j extends node parents[j] of level
+    k - 1.  Levels 1..n - 1 are dense, with parents None: child i of node
+    p is node i * N_{k-1} + p, so a level's parents are the whole level
+    above, repeated once per child.  Level n holds the terms themselves,
+    in permutation_terms order, each the one child of its parent, and a
+    term of sign -1 has n*n added to its last cell.  The arrays are
+    read-only intp.  len() is the number of terms.
+    """
+
+    __slots__ = ("levels",)
+
+    def __init__(self, levels):
+        self.levels = levels
+
+    def __len__(self):
+        return len(self.levels[-1][0]) if self.levels else 1
+
+
+@functools.lru_cache(maxsize=None)
+def _term_tree(n, order):
+    """The _TermTree of _term_table(n, order)."""
+    signs, cells = _term_table(n, order)
+    t = len(signs)
+    # sorted by their column sequences, the terms are the leaves in
+    # lexicographic order, so term t's rank spells its root path in the
+    # mixed radix n, n - 1, ..., 1 of the child numbers
+    rank = np.zeros(t, dtype=np.intp)
+    if n:
+        rank[np.lexsort(cells[::-1] % n)] = np.arange(t)
+    node = np.zeros(t, dtype=np.intp)
+    levels = []
+    for k in range(1, n):
+        below, width = math.factorial(n - k), n - k + 1
+        node += rank // below % width * (t // (below * width))
+        level = np.empty(t // below, dtype=np.intp)
+        level[node] = cells[k - 1]
+        level.flags.writeable = False
+        levels.append((level, None))
+    if n:
+        last = cells[-1] + n * n * (signs < 0)
+        last.flags.writeable = node.flags.writeable = False
+        levels.append((last, node))
+    return _TermTree(tuple(levels))
 
 
 def _check_size(n):
@@ -79,8 +153,9 @@ def _check_size(n):
 def _cofactor_table(n):
     """cells[q, p] holds the flat indices r*n + c, in an n x n matrix, of the
     entries of its natural submatrix A_qp (1-based q+1, p+1), row by row:
-    read-only uint8 (n, n, (n - 1)**2).  Indexed by the cells of
-    _term_table(n - 1, "row"), it gives each cofactor's factors in A itself."""
+    read-only uint8 (n, n, (n - 1)**2).  cells[q, p] maps the cells of a
+    size n - 1 sum into A, so the kernel takes each cofactor's factors from
+    A itself."""
     cells = np.zeros((n, n, (n - 1) ** 2), dtype=np.uint8)
     if n > 1:
         index = np.zeros((4, n, n))
@@ -92,36 +167,88 @@ def _cofactor_table(n):
     return cells
 
 
-@qmatrix.quiet
-def _permutation_sum(entries, which, signs, cells):
-    """b permutation sums of t terms each, in batched Hamilton products.
+@functools.lru_cache(maxsize=16)
+def _scratch(tree, b, thread):
+    """The kernel's arrays for b sums over one _TermTree in one thread,
+    built on first use and kept for the 16 latest (tree, b, thread).
 
-    entries is a (4, s, N) stack of flat matrix entries; sum u multiplies,
-    into term t, the factors entries[:, which[u], cells[k, u, t]] for
-    k = 0, 1, ...  Each term starts at (signs[t], 0, 0, 0) and takes its
-    factors through quat.hamilton, the product behind Quaternion.__mul__,
-    and each sum is the quat.ordered_sum of its terms, so every result is
-    bit-identical to multiplying and adding Quaternion objects in a loop.
-    Returns the (4, b) sums.
-
-    The terms go in chunks of at most TERM_CAP, each summed on from the
-    running totals, and factors are gathered and sums taken one component
-    at a time.  So with b * t <= TERM_CAP or b = 1, as the callers keep
-    it, no temporary holds much more than TERM_CAP floats: a larger one
-    passes malloc's mmap threshold and is paged in afresh on every pass.
+    Returns (signed, levels, leaves).  signed holds the (4, 2 m*m, b)
+    cells of each sum, then their negations.  levels[k - 1] is (cells,
+    parents, src, dst, factors, product): level k copies its parents from
+    src, the level above, into dst (gathering them when parents is not
+    None), takes its factors from signed, and quat.hamilton_into(*product)
+    multiplies the two into the level's nodes.  Nodes, parents and factors
+    use 4 * b * m! floats each of one buffer, and the product's scratch row
+    b * m!: 13 * b * m! floats.  leaves is level m, the (4, m!, b) terms in
+    term order.
     """
-    flat = entries.reshape(4, -1)
-    offsets = which[:, None] * entries.shape[2]
-    # (b, 1) zeros broadcast against every factor; with no factor (a 0 x 0
-    # matrix) there is one term, so they already have the (b, t) shape
-    zero = np.zeros((len(which), 1))
-    sums = np.zeros((4, len(which)))
-    for lo in range(0, len(signs), TERM_CAP):
-        term = (signs[lo:lo + TERM_CAP] + zero, zero, zero, zero)
-        for factor in cells[:, :, lo:lo + TERM_CAP]:
-            index = offsets + factor
-            term = hamilton(term, [component.take(index) for component in flat])
-        sums = np.array([ordered_sum(v, s) for v, s in zip(term, sums)])
+    t, m = len(tree), len(tree.levels)
+    buf = np.empty(13 * t * b)
+
+    def part(k, size):  # the first size floats of part k
+        return buf[4 * t * b * k:4 * t * b * k + size]
+
+    above = np.zeros((4, 1, b))
+    above[0] = 1.0
+    levels = []
+    for cell, parent in tree.levels:
+        size = 4 * len(cell) * b
+        nodes, up, factors = (part(k, size).reshape(4, -1, b) for k in range(3))
+        # a dense level's parents are the level above, once per child
+        src, dst = ((above.reshape(4, 1, -1), up.reshape(4, -1, above[0].size))
+                    if parent is None else (above, up))
+        product = (tuple(up.reshape(4, -1)), tuple(factors.reshape(4, -1)),
+                   tuple(nodes.reshape(4, -1)), part(3, size // 4))
+        levels.append((cell, parent, src, dst, factors, product))
+        above = nodes
+    return np.empty((4, 2 * m * m, b)), tuple(levels), above
+
+
+@qmatrix.quiet
+def _permutation_sum(entries, which, tree, cells):
+    """b permutation sums of one size m and order, level by level down the
+    permutation tree.
+
+    entries is a (4, s, N) stack of flat matrix entries and tree is the
+    _TermTree of the sums' size and order.  Sum u expands the m x m matrix
+    whose cell r*m + c is entries[:, which[u], cells[u, r*m + c]]: its
+    terms are the products, left to right, of the cells permutation_terms
+    gives, times their signs.  Level 1 is (1, 0, 0, 0) times each first
+    factor, so 0 * inf still gives NaN where the loop's (sign, 0, 0, 0)
+    does, and every level after it is one quat.hamilton_into of its
+    parents and their next factors, for all b sums at once; a term of
+    sign -1 takes its last factor negated.  Negation is exact, so each
+    term is the loop's up to the sign of a zero, which no sum started at
+    +0.0 keeps.  Level m is in term order, and quat.ordered_sum adds it
+    TERM_CAP values at a time, each chunk started at the running totals,
+    so every sum is bit-identical to multiplying and adding Quaternion
+    objects in a loop (NaN for NaN).  A shared prefix is multiplied once:
+    a size-m sum takes sum_k m!/(m - k)! Hamilton products, not m * m!
+    (1 956, not 4 320, at m = 6).  Returns the (4, b) sums.
+
+    The levels live in the _scratch of (tree, b, thread), 13 * b * m!
+    floats: 0.5 MB for the 7 sums of 720 terms of an n = 7 pivot column,
+    4.2 MB for an n = 8 det.  A pass allocates no array of more than about
+    TERM_CAP values, and nothing it returns is a view of the scratch.
+    """
+    b = len(which)
+    signed, levels, leaves = _scratch(tree, b, threading.get_ident())
+    index = (np.asarray(which)[:, None] * entries.shape[2] + cells).T
+    signed[:, :len(index)] = entries.reshape(4, -1)[:, index]
+    np.negative(signed[:, :len(index)], out=signed[:, len(index):])
+    # the tree's indices are in range; mode="clip" lets take write into
+    # out, where the default mode="raise" fills a temporary first
+    for cell, parent, src, dst, factors, product in levels:
+        if parent is None:
+            np.copyto(dst, src)
+        else:
+            np.take(src, parent, axis=1, out=dst, mode="clip")
+        np.take(signed, cell, axis=1, out=factors, mode="clip")
+        hamilton_into(*product)
+    step = max(1, TERM_CAP // (4 * b))  # terms per TERM_CAP values
+    sums = np.zeros((4, b))
+    for lo in range(0, len(tree), step):
+        sums = ordered_sum(leaves[:, lo:lo + step].transpose(0, 2, 1), sums)
     return sums
 
 
@@ -129,10 +256,10 @@ def _square_sum(A: QMatrix, order):
     """The n!-term sum of A in one kernel pass."""
     if not A.is_square():
         raise NotSquare(f"determinant needs a square matrix, got {A.shape}")
-    _check_size(A.n_rows)
-    signs, cells = _term_table(A.n_rows, order)
+    n = A.n_rows
+    _check_size(n)
     total = _permutation_sum(A.data.reshape(4, 1, -1), np.zeros(1, dtype=int),
-                             signs, cells[:, None])
+                             _term_tree(n, order), np.arange(n * n)[None])
     return Quaternion(*total[:, 0].tolist())
 
 
@@ -169,18 +296,18 @@ def adjugate_columns(stack, wanted) -> np.ndarray:
         bad = index[(index < 0) | (index >= bound)]
         if bad.size:
             raise IndexOutOfRange(f"{what} {bad[0]} outside 0..{bound - 1}")
-    signs, cells = _term_table(n - 1, "row")
+    tree = _term_tree(n - 1, "row")
     table = _cofactor_table(n)
     # sum p * len(wanted) + k is entry p of column k
     which, cols = np.tile(mats, n), np.tile(qs, n)
     rows = np.repeat(np.arange(n), len(qs))
     entries = stack.reshape(4, stack.shape[1], n * n)
     sums = np.empty((4, len(which)))
-    per_pass = max(1, TERM_CAP // len(signs))
+    per_pass = max(1, TERM_CAP // len(tree))
     for lo in range(0, len(which), per_pass):
         part = slice(lo, lo + per_pass)
-        factors = table[cols[part], rows[part]][:, cells].transpose(1, 0, 2)
-        sums[:, part] = _permutation_sum(entries, which[part], signs, factors)
+        sums[:, part] = _permutation_sum(entries, which[part], tree,
+                                         table[cols[part], rows[part]])
     sums = sums.reshape(4, n, len(qs))
     off = np.arange(n)[:, None] != qs
     sums[:, off] = np.negative(sums[:, off])

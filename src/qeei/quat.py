@@ -117,6 +117,25 @@ def hamilton(a, b):
     )
 
 
+# hamilton's four products per component, as (index in a, index in b, add)
+_HAMILTON_TERMS = (((0, 0, True), (1, 1, False), (2, 2, False), (3, 3, False)),
+                   ((0, 1, True), (1, 0, True), (2, 3, True), (3, 2, False)),
+                   ((0, 2, True), (1, 3, False), (2, 0, True), (3, 1, True)),
+                   ((0, 3, True), (1, 2, True), (2, 1, False), (3, 0, True)))
+
+
+def hamilton_into(a, b, out, tmp):
+    """hamilton(a, b) of broadcasting arrays, written into the four arrays
+    of out with the same products added in the same order, so the bits are
+    hamilton's; tmp is scratch of out[0]'s shape.  No array is allocated."""
+    a, b = tuple(a), tuple(b)
+    for o, ((i, j, _), *rest) in zip(out, _HAMILTON_TERMS):
+        np.multiply(a[i], b[j], o)
+        for i, j, add in rest:
+            np.multiply(a[i], b[j], tmp)
+            (np.add if add else np.subtract)(o, tmp, o)
+
+
 def ordered_sum(terms, start=0.0):
     """Sum over the last axis, adding the terms one after another to start
     as `total = start; total += t` does in a loop: a cumulative sum led by

@@ -1,5 +1,11 @@
+import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +301,134 @@ def test_chunked_sums_equal_the_scalar_loop(monkeypatch):
     assert_matches_scalar(QMatrix([[Quaternion(math.inf), I], [J, K]]))
 
 
+class ScalarEntries:
+    """A's n_rows and entries A[r, c] as Quaternion objects built once, so
+    the scalar loop at n = 8 spends its time on the products and sums."""
+
+    def __init__(self, A):
+        self.n_rows, self.rows = A.n_rows, A.rows
+
+    def __getitem__(self, cell):
+        return self.rows[cell[0]][cell[1]]
+
+
+@pytest.mark.parametrize("order", ["det", "row"])
+def test_sums_at_8_equal_the_scalar_loop(order):
+    # 40 320 terms: more than TERM_CAP, so the kernel adds them in chunks
+    rng = np.random.default_rng({"det": 38, "row": 39}[order])
+    A = random_qmatrix(8, 8, rng)
+    assert math.factorial(8) > qdet.TERM_CAP
+    got = {"det": det, "row": row_expansion}[order](A)
+    assert_same_bits(got, scalar_permutation_sum(ScalarEntries(A), order))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_table(n, order):
+    """(signs, cells) of _term_table, built from permutation_terms."""
+    terms = list(permutation_terms(n, order))
+    signs = np.array([sign for sign, _ in terms], dtype=float)
+    cells = np.array([[r * n + c for r, c in term] for _, term in terms],
+                     dtype=np.uint8).reshape(len(terms), n).T
+    return signs, cells
+
+
+def test_term_tables_equal_the_reference():
+    for n in range(0, 9):
+        for order in ("det", "row"):
+            signs, cells = qdet._term_table(n, order)
+            want_signs, want_cells = reference_table(n, order)
+            assert signs.dtype == want_signs.dtype and cells.dtype == np.uint8
+            assert np.array_equal(signs, want_signs)
+            assert cells.shape == want_cells.shape
+            assert np.array_equal(cells, want_cells)
+
+
+def test_term_tree_holds_every_prefix_once():
+    for n in range(1, 9):
+        for order in ("det", "row"):
+            signs, cells = reference_table(n, order)
+            t = math.factorial(n)
+            tree = qdet._term_tree(n, order)
+            assert len(tree) == t and len(tree.levels) == n
+            last, leaves = tree.levels[-1]
+            # level n is term order; the leaf map is a bijection onto level
+            # n - 1, and a term of sign -1 takes its last factor negated
+            assert np.array_equal(np.sort(leaves), np.arange(t))
+            assert np.array_equal(last, cells[-1] + n * n * (signs < 0))
+            for k, (level, parents) in enumerate(tree.levels[:-1], start=1):
+                assert parents is None
+                assert len(level) == t // math.factorial(n - k)
+                # term t passes node leaves[t] % N_k at level k, so each
+                # root path is the term's cells and every node lies on one
+                assert np.array_equal(level[leaves % len(level)], cells[k - 1])
+                assert len(np.unique(leaves % len(level))) == len(level)
+                # node p of level k has n - k children, i * N_k + p: all
+                # take their factor from one row, each from another column
+                if k + 1 < n:
+                    children = tree.levels[k][0].reshape(n - k, len(level))
+                    assert (children // n == children[0] // n).all()
+                    columns = np.sort(children % n, axis=0)
+                    assert (np.diff(columns, axis=0) > 0).all()
+
+
+FAULTS_PER_OP = """
+import resource
+import numpy as np
+from qeei import eigenvector_from_qadj
+from qeei.random_matrices import random_hermitian_gapped
+rng = np.random.default_rng(40)
+inputs = [random_hermitian_gapped(7, rng) for _ in range(55)]
+for H in inputs[:5]:  # warm-up: tables and scratch
+    eigenvector_from_qadj(H, 1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for k, H in enumerate(inputs[5:]):
+    eigenvector_from_qadj(H, 1 + k % 7)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+def test_eigenvectors_at_7_take_no_page_faults():
+    # in a fresh interpreter, where malloc's thresholds are still at their
+    # defaults: a temporary freed at the heap top is trimmed off, and the
+    # next op faults its pages in again.  Each op reuses the kernel scratch.
+    pytest.importorskip("resource")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(qdet.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_OP], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 5
+
+
+def test_threads_keep_their_own_scratch():
+    # the scratch is cached per thread: threads summing the same shape at
+    # once must not write into each other's levels
+    rng = np.random.default_rng(41)
+    stacks = [random_qmatrix(6, 6, rng).data[:, None] for _ in range(6)]
+    wanted = [(0, q) for q in range(6)]
+    expected = [adjugate_columns(s, wanted) for s in stacks]
+    wrong = []
+
+    def work(k):
+        for _ in range(30):
+            if not np.array_equal(adjugate_columns(stacks[k], wanted), expected[k]):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
 # ----------------------------------- the adjugate as a row-determinant cofactor
 
 def scalar_rdet(A, p):
@@ -340,8 +474,9 @@ def test_row_expansion_makes_no_quaternion_products(monkeypatch):
 
 
 def test_term_table_is_built_once_per_size_and_order(monkeypatch):
-    qdet._term_table.cache_clear()
-    builds = count_calls(monkeypatch, qdet, "permutation_terms")
+    # the term tree is built from the table once per (size, order) and cached
+    qdet._term_tree.cache_clear()
+    builds = count_calls(monkeypatch, qdet, "_term_table")
     A = random_qmatrix(5, 5, np.random.default_rng(33))
     for _ in range(2):
         det(A)
@@ -354,9 +489,11 @@ def test_term_table_is_built_once_per_size_and_order(monkeypatch):
 
 def test_complexity_limit_builds_no_table(monkeypatch):
     tables = count_calls(monkeypatch, qdet, "_term_table")
+    trees = count_calls(monkeypatch, qdet, "_term_tree")
+    scratch = count_calls(monkeypatch, qdet, "_scratch")
     with pytest.raises(ComplexityLimit):
         det(QMatrix([[1] * 9 for _ in range(9)]))
-    assert tables == []
+    assert tables == [] and trees == [] and scratch == []
 
 
 def test_eigenvector_at_7_expands_7_minors_of_size_6(monkeypatch):
@@ -443,12 +580,14 @@ def test_adjugate_columns_keep_signed_zeros_and_overflow():
 
 def test_adjugate_columns_at_9_build_no_table(monkeypatch):
     tables = count_calls(monkeypatch, qdet, "_term_table")
+    trees = count_calls(monkeypatch, qdet, "_term_tree")
+    scratch = count_calls(monkeypatch, qdet, "_scratch")
     cofactors = count_calls(monkeypatch, qdet, "_cofactor_table")
     with pytest.raises(ComplexityLimit):
         adjugate_columns(np.zeros((4, 1, 9, 9)), [(0, 0)])
     with pytest.raises(ComplexityLimit):
         adjugate_column(QMatrix([[1] * 9 for _ in range(9)]), 0)
-    assert tables == [] and cofactors == []
+    assert tables == [] and trees == [] and scratch == [] and cofactors == []
 
 
 def test_adjugate_columns_check_their_indices():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeei.errors import ZeroDivisor
-from qeei.quat import I, J, K, ONE, Quaternion, ordered_sum
+from qeei.quat import I, J, K, ONE, Quaternion, hamilton, hamilton_into, ordered_sum
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 quaternions = st.builds(Quaternion, finite, finite, finite, finite)
@@ -141,3 +141,18 @@ def test_ordered_sum_sums_the_last_axis_in_chunks():
     chunked = ordered_sum(terms[..., 20:], ordered_sum(terms[..., :20]))
     assert np.array_equal(chunked, whole)
     assert np.array_equal(np.signbit(chunked), np.signbit(whole))
+
+
+def test_hamilton_into_is_hamilton_bit_for_bit():
+    # the same products added in the same order: equal bits, signed zeros
+    # and the signs of NaN included
+    rng = np.random.default_rng(4)
+    specials = [0.0, -0.0, 1.0, -2.5, 1e300, -1e300, math.inf, -math.inf, math.nan]
+    a = rng.choice(specials, size=(4, 3, 200))
+    b = rng.choice(specials, size=(4, 200))
+    a[:, 0] = rng.standard_normal((4, 200))
+    out, tmp = np.empty((4, 3, 200)), np.empty((3, 200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array(hamilton(a, b))
+        hamilton_into(a, b, out, tmp)
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
