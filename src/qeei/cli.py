@@ -54,6 +54,11 @@ EXIT_CODES = {
 }
 
 
+def require_positive_n(n):
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ParseError(f"n must be a positive integer, got {n!r}")
+
+
 def load_matrix_file(path):
     """Returns (QMatrix, echo dict, sha256 digest)."""
     try:
@@ -70,8 +75,7 @@ def load_matrix_file(path):
         comps = [doc[key] for key in ("re", "im_i", "im_j", "im_k")]
     except KeyError as exc:
         raise ParseError(f"matrix file {path} is missing key {exc}") from exc
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ParseError(f"n must be a positive integer, got {n!r}")
+    require_positive_n(n)
     arrays = []
     for key, comp in zip(("re", "im_i", "im_j", "im_k"), comps):
         try:
@@ -97,12 +101,12 @@ def matrix_to_doc(A: QMatrix):
     return {"n": A.n_rows, "re": re, "im_i": im_i, "im_j": im_j, "im_k": im_k}
 
 
-def base_report(args, echo, digest, tol):
+def base_report(args, echo, digest):
     return {
         "command": " ".join(args.argv),
         "input_digest": digest,
         "matrix": echo,
-        "tolerances": {"tol": tol},
+        "tolerances": {"tol": args.tol},
         "status": "ok",
     }
 
@@ -125,16 +129,21 @@ def require_finite(name, values):
 
 def residual_scale(A: QMatrix) -> float:
     """Residual comparisons scale with 1 + ||A||_inf ** n; inf on overflow,
-    which `within` treats as a violation."""
+    which `check_residuals` treats as a violation."""
     try:
         return 1.0 + A.norm_inf() ** A.n_rows
     except OverflowError:
         return math.inf
 
 
-def within(values, bound):
-    """No value is NaN or above bound, and bound is finite (values are >= 0)."""
-    return all(v <= bound < math.inf for v in values)
+def check_residuals(report, residuals, bound):
+    """The one status rule of vec and verify: the report is a violation
+    unless no residual is NaN or above bound and bound is finite (residuals
+    are >= 0).  Returns the worst residual, NaN if any is NaN."""
+    worst = np.max(list(residuals))
+    if not worst <= bound < math.inf:
+        report["status"] = "violation"
+    return worst
 
 
 def emit(report, fmt, text_lines):
@@ -145,24 +154,21 @@ def emit(report, fmt, text_lines):
             print(line)
 
 
-def cmd_eig(args, tol, fmt):
-    A, echo, digest = load_matrix_file(args.file)
+# A file command takes the loaded matrix A and the report envelope, adds its
+# fields to the report and returns its text lines; main does the rest.
+
+def cmd_eig(args, A, report):
     H = qmatrix.validate_hermitian(A)
     spectrum = eigen.right_eigenvalues(H)
-    report = base_report(args, echo, digest, tol)
     report["spectrum"] = list(spectrum.values)
     report["tolerances"]["grouping_tol"] = spectrum.grouping_tol
-    lines = ["eigenvalues (ascending): "
-             + ", ".join(f"{v:.10g}" for v in spectrum.values)]
-    emit(report, fmt, lines)
-    return EXIT_OK
+    return ["eigenvalues (ascending): "
+            + ", ".join(f"{v:.10g}" for v in spectrum.values)]
 
 
-def cmd_vec(args, tol, fmt):
-    A, echo, digest = load_matrix_file(args.file)
+def cmd_vec(args, A, report):
     H = qmatrix.validate_hermitian(A)
     pair = eigen.eigenvector_from_qadj(H, args.index)
-    report = base_report(args, echo, digest, tol)
     report["eigenpairs"] = [{
         "index": args.index,
         "lambda": pair.lam,
@@ -171,73 +177,58 @@ def cmd_vec(args, tol, fmt):
         "residual": pair.residual,
         "norm_dev": pair.norm_dev,
     }]
-    scale = residual_scale(A)
-    if not within((pair.residual, pair.norm_dev), tol * scale):
-        report["status"] = "violation"
+    check_residuals(report, (pair.residual, pair.norm_dev),
+                    args.tol * residual_scale(A))
     lines = [f"lambda_{args.index} = {pair.lam:.10g}"]
     for p, (a,) in enumerate(pair.vector.rows, start=1):
         lines.append(f"  v[{p}] = {a}")
     lines.append(f"residual = {pair.residual:.3e}, "
                  f"norm deviation = {pair.norm_dev:.3e}")
-    emit(report, fmt, lines)
-    return EXIT_VIOLATION if report["status"] == "violation" else EXIT_OK
+    return lines
 
 
-def cmd_det(args, tol, fmt):
-    A, echo, digest = load_matrix_file(args.file)
+def cmd_det(args, A, report):
     value = qdet.det(A)
     require_finite("det", value.components())
-    report = base_report(args, echo, digest, tol)
     report["det"] = list(value.components())
-    emit(report, fmt, [f"det = {value}"])
-    return EXIT_OK
+    return [f"det = {value}"]
 
 
-def cmd_qadj(args, tol, fmt):
+def cmd_qadj(args, A, report):
     if args.lam is not None and not math.isfinite(args.lam):
         raise ParseError(f"--lambda must be finite, got {args.lam}")
-    A, echo, digest = load_matrix_file(args.file)
     target = A
     if args.lam is not None:
+        report["lambda"] = args.lam
         target = eigen.lambda_shift(A, args.lam)
     Q = qdet.qadj(target)
     require_finite("qadj", Q.data)
-    comps = Q.components()
-    report = base_report(args, echo, digest, tol)
-    if args.lam is not None:
-        report["lambda"] = args.lam
-    for name, comp in zip(("B0", "B1", "B2", "B3"), comps):
-        report[name] = comp.tolist()
     lines = []
-    for name, comp in zip(("B0", "B1", "B2", "B3"), comps):
+    for name, comp in zip(("B0", "B1", "B2", "B3"), Q.components()):
+        report[name] = comp.tolist()
         lines.append(f"{name} = " + "; ".join(
             "[" + ", ".join(f"{v:.10g}" for v in row) + "]" for row in comp))
-    emit(report, fmt, lines)
-    return EXIT_OK
+    return lines
 
 
-def cmd_verify(args, tol, fmt):
-    A, echo, digest = load_matrix_file(args.file)
+def cmd_verify(args, A, report):
     H = qmatrix.validate_hermitian(A)
     solve = eigen.HermitianSolve(H)
     scale = residual_scale(A)
     residuals = eigen.identity_residuals(solve)
-    report = base_report(args, echo, digest, tol)
     report["spectrum"] = list(solve.spectrum.values)
     report["residuals"] = residuals
     report["tolerances"]["residual_scale"] = scale
-    worst = max(residuals.values())
-    if not within(residuals.values(), tol * scale):
-        report["status"] = "violation"
+    worst = check_residuals(report, residuals.values(), args.tol * scale)
     lines = ["spectrum: " + ", ".join(f"{v:.10g}" for v in solve.spectrum.values)]
     lines += [f"{k} = {v:.3e}" for k, v in residuals.items()]
     lines.append(f"status: {report['status']} "
-                 f"(worst {worst:.3e} vs {tol * scale:.3e})")
-    emit(report, fmt, lines)
-    return EXIT_VIOLATION if report["status"] == "violation" else EXIT_OK
+                 f"(worst {worst:.3e} vs {args.tol * scale:.3e})")
+    return lines
 
 
-def cmd_random(args, tol, fmt):
+def cmd_random(args):
+    require_positive_n(args.n)
     if args.seed < 0:
         raise ParseError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
@@ -262,42 +253,44 @@ def build_parser():
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("eig", cmd_eig), ("det", cmd_det), ("verify", cmd_verify)):
+    for name, fn in (("eig", cmd_eig), ("det", cmd_det), ("verify", cmd_verify),
+                     ("vec", cmd_vec), ("qadj", cmd_qadj)):
         p = sub.add_parser(name)
         p.add_argument("file")
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("vec")
-    p.add_argument("file")
-    p.add_argument("--index", type=int, required=True,
-                   help="1-based eigenvalue index, ascending order")
-    p.set_defaults(func=cmd_vec)
-
-    p = sub.add_parser("qadj")
-    p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="compute qadj(lambda E - A) instead of qadj(A)")
-    p.set_defaults(func=cmd_qadj)
+    sub.choices["vec"].add_argument(
+        "--index", type=int, required=True,
+        help="1-based eigenvalue index, ascending order")
+    sub.choices["qadj"].add_argument(
+        "--lambda", dest="lam", type=float, default=None,
+        help="compute qadj(lambda E - A) instead of qadj(A)")
 
     p = sub.add_parser("random")
     p.add_argument("n", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_random)
     return parser
 
 
 def main(argv=None):
+    """Runs one qeei command; returns its exit code.  args.tol becomes the
+    parsed base tolerance."""
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
     args.argv = argv
     try:
-        tol = parse_tol(args.tol if args.tol is not None
-                        else os.environ.get("QEEI_TOL", DEFAULT_TOL))
-        return args.func(args, tol, args.format)
+        args.tol = parse_tol(args.tol if args.tol is not None
+                             else os.environ.get("QEEI_TOL", DEFAULT_TOL))
+        if args.command == "random":
+            return cmd_random(args)
+        A, echo, digest = load_matrix_file(args.file)
+        report = base_report(args, echo, digest)
+        lines = args.func(args, A, report)
     except QeeiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__
                     if cls in EXIT_CODES)
+    emit(report, args.format, lines)
+    return EXIT_VIOLATION if report["status"] == "violation" else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -457,3 +457,27 @@ def test_installed_entry_point(example_file):
                            example_file], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "eigenvalues" in proc.stdout
+
+
+def test_verify_text_shows_a_nan_worst_residual(example_file, capsys, monkeypatch):
+    # max() would skip a NaN that is not the first residual
+    monkeypatch.setattr(eigen, "verify_outer_product", lambda *a, **k: math.nan)
+    code, out = run(capsys, ["verify", example_file])
+    assert code == 7
+    assert out.splitlines()[-1] == "status: violation (worst nan vs 1.000e-07)"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_random_size_below_one_exit(capsys, n):
+    code = cli.main(["random", n])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: n must be a positive integer, got {n}\n"
+
+
+def test_unreadable_file_with_bad_lambda_exit(tmp_path, capsys):
+    # the file is read before --lambda is checked, so its error is the one line
+    code = cli.main(["qadj", str(tmp_path / "nope.json"), "--lambda", "nan"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "cannot read matrix file" in err
