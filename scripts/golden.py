@@ -4,11 +4,14 @@ Usage: python scripts/golden.py [--update]
 
 Without --update it runs the corpus and lists every mismatch against
 tests/golden/expected.json (exit 1 if there is one); tests/test_golden.py
-runs the same check.  --update rewrites the inputs in tests/golden/inputs
-and the expected results; it is the only writer of either.
+runs the same check.  --update rewrites the expected results; it is their
+only writer.
 
 Inputs: `qeei random N --seed S` for N = 1..8 and S = 0..2, the worked
-example, and the special files of tests/test_cli.py.  Commands: eig, det,
+example, and the special files of tests/test_cli.py.  None is stored: each
+is derived when it is needed (the compact JSON of its SPECIAL document or
+of the `qeei random` output) and written to a temporary directory, in
+which its commands run.  Commands: eig, det,
 qadj, qadj --lambda 0.7, verify and vec --index i for every i, under
 --format json (verify at n = 8 on seed 0 only), and each of them in the
 default text format on the worked example.  Each result is the exit code,
@@ -37,13 +40,12 @@ import math
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 from qeei import cli
 
-GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
-INPUTS = GOLDEN / "inputs"
-EXPECTED = GOLDEN / "expected.json"
+EXPECTED = Path(__file__).resolve().parents[1] / "tests" / "golden" / "expected.json"
 
 REL = 1e-12
 DIGITS = 14
@@ -105,17 +107,40 @@ def commands(name, n):
             for fmt in formats for sub in subcommands}
 
 
-def run(argv):
-    """(exit code, stdout, stderr) of cli.main(argv) run in INPUTS."""
+def run(argv, directory="."):
+    """(exit code, stdout, stderr) of cli.main(argv) run in directory."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    os.chdir(INPUTS)
+    os.chdir(directory)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     finally:
         os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
+
+
+def input_bytes(name):
+    """The input file `name`: the compact JSON of its SPECIAL document or of
+    the output of `qeei random N --seed S`."""
+    doc = SPECIAL.get(name)
+    if doc is None:
+        [(n, seed)] = [ns for ns in RANDOM if random_name(*ns) == name]
+        code, out, err = run(random_argv(n, seed))
+        if code != 0:
+            raise SystemExit(f"qeei {' '.join(random_argv(n, seed))}: {err}")
+        doc = json.loads(out)
+    return json.dumps(doc, separators=(",", ":")).encode()
+
+
+@contextlib.contextmanager
+def input_directory(name):
+    """A temporary directory holding input `name` as <name>.json; yields the
+    directory and the input's n."""
+    raw = input_bytes(name)
+    with tempfile.TemporaryDirectory(prefix="qeei-golden-") as directory:
+        Path(directory, f"{name}.json").write_bytes(raw)
+        yield Path(directory), json.loads(raw)["n"]
 
 
 def rounded(value):
@@ -128,9 +153,10 @@ def rounded(value):
     return value
 
 
-def result(name, argv):
-    """The result of one command in the form stored, before rounding."""
-    code, out, err = run(argv)
+def result(directory, name, argv):
+    """The result of one command on input `name` in directory, in the form
+    stored, before rounding."""
+    code, out, err = run(argv, directory)
     entry = {"exit": code}
     if err:
         entry["stderr"] = err
@@ -138,7 +164,7 @@ def result(name, argv):
         entry["stdout"] = out
     elif out:
         report = json.loads(out)
-        raw = (INPUTS / f"{name}.json").read_bytes()
+        raw = (directory / f"{name}.json").read_bytes()
         envelope = {"command": " ".join(argv),
                     "input_digest": hashlib.sha256(raw).hexdigest(),
                     "matrix": json.loads(raw)}
@@ -223,53 +249,29 @@ def load_expected():
 def check(name, entries):
     """Runs the stored commands of input `name`; returns one message per
     mismatch, or one message if the command list itself changed."""
-    n = json.loads((INPUTS / f"{name}.json").read_text(encoding="utf-8"))["n"]
-    argvs = commands(name, n)
-    if list(argvs) != list(entries):
-        return [f"{name}: the commands differ from the stored ones"]
-    bad = []
-    for label, want in entries.items():
-        note = f" (known defect, {want['known_defect']})" if "known_defect" in want else ""
-        bad += [f"{name}: {label}: {m}{note}"
-                for m in mismatches(want, result(name, argvs[label]))]
+    with input_directory(name) as (directory, n):
+        argvs = commands(name, n)
+        if list(argvs) != list(entries):
+            return [f"{name}: the commands differ from the stored ones"]
+        bad = []
+        for label, want in entries.items():
+            note = f" (known defect, {want['known_defect']})" if "known_defect" in want else ""
+            bad += [f"{name}: {label}: {m}{note}"
+                    for m in mismatches(want, result(directory, name, argvs[label]))]
     return bad
-
-
-def random_input_mismatches():
-    """The stored random inputs against `qeei random` today."""
-    bad = []
-    for n, seed in RANDOM:
-        code, out, _ = run(random_argv(n, seed))
-        stored = (INPUTS / f"{random_name(n, seed)}.json").read_text(encoding="utf-8")
-        if code != 0 or json.loads(out) != json.loads(stored):
-            bad.append(f"qeei {' '.join(random_argv(n, seed))} differs from its stored input")
-    return bad
-
-
-def write_inputs():
-    INPUTS.mkdir(parents=True, exist_ok=True)
-    docs = dict(SPECIAL)
-    for n, seed in RANDOM:
-        code, out, err = run(random_argv(n, seed))
-        if code != 0:
-            raise SystemExit(f"qeei {' '.join(random_argv(n, seed))}: {err}")
-        docs[random_name(n, seed)] = json.loads(out)
-    for name, doc in docs.items():
-        (INPUTS / f"{name}.json").write_text(
-            json.dumps(doc, separators=(",", ":")), encoding="utf-8")
-    return {name: doc["n"] for name, doc in docs.items()}
 
 
 def update():
     blocks = []
-    for name, n in write_inputs().items():
+    for name in [*SPECIAL, *(random_name(n, seed) for n, seed in RANDOM)]:
         lines = []
-        for label, argv in commands(name, n).items():
-            entry = rounded(result(name, argv))
-            defect = KNOWN_DEFECTS.get((name, argv[argv.index(f"{name}.json") - 1]))
-            if defect is not None:
-                entry["known_defect"] = defect
-            lines.append(f"{json.dumps(label)}:{json.dumps(entry, separators=(',', ':'))}")
+        with input_directory(name) as (directory, n):
+            for label, argv in commands(name, n).items():
+                entry = rounded(result(directory, name, argv))
+                defect = KNOWN_DEFECTS.get((name, argv[argv.index(f"{name}.json") - 1]))
+                if defect is not None:
+                    entry["known_defect"] = defect
+                lines.append(f"{json.dumps(label)}:{json.dumps(entry, separators=(',', ':'))}")
         blocks.append(f"{json.dumps(name)}:{{\n" + ",\n".join(lines) + "\n}")
     # one result per line, so an intended change is a readable diff
     EXPECTED.write_text("{\n" + ",\n".join(blocks) + "\n}\n", encoding="utf-8")
@@ -278,13 +280,12 @@ def update():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the inputs and the expected results")
+                        help="rewrite the expected results")
     os.environ.pop("QEEI_TOL", None)  # the corpus runs at the default tolerance
     if parser.parse_args(argv).update:
         update()
         return 0
-    bad = random_input_mismatches() + [
-        m for name, entries in load_expected().items() for m in check(name, entries)]
+    bad = [m for name, entries in load_expected().items() for m in check(name, entries)]
     print("\n".join(bad) if bad else "golden corpus: all results match")
     return 1 if bad else 0
 

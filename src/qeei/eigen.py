@@ -157,28 +157,17 @@ def residual(A: QMatrix, v: QMatrix, lam: float) -> float:
     return vector_norm(qmatrix.matmul(A, v) - qmatrix.scale_right(v, lam))
 
 
-def _kept(method):
-    """Compute method(self, k) once per k and keep it on self."""
-    @functools.wraps(method)
-    def kept(self, k):
-        key = (method.__name__, k)
-        if key not in self._kept:
-            self._kept[key] = method(self, k)
-        return self._kept[key]
-    return kept
-
-
 class HermitianSolve:
-    """A Hermitian matrix and its spectrum; minor spectra, gap products,
-    shifted adjugate columns, shifted adjugates and eigenpairs are computed
-    on first use and kept."""
+    """A Hermitian matrix and its spectrum.  The minor spectra, and for each
+    shift index i the whole qadj(lambda_i E - A) and the eigenpair, are
+    computed on first use and kept."""
 
     def __init__(self, A: HermitianQMatrix):
         self.A = A
         self.n = A.n
         self.spectrum = right_eigenvalues(A)
-        self._kept = {}
-        self._columns = {}
+        self._adjugates = {}  # i -> qadj(lambda_i E - A)
+        self._eigenpairs = {}
 
     def eigenvalue(self, i: int) -> float:
         """lambda_i (1-based, ascending), which must be simple."""
@@ -191,7 +180,6 @@ class HermitianSolve:
         return _right_spectra(np.stack([qmatrix.minor(self.A, j).inner.data
                                         for j in range(1, self.n + 1)], axis=1))
 
-    @_kept
     def gap_product(self, i: int) -> float:
         """c_i = prod over k != i of (lambda_i - lambda_k)."""
         lam = self.eigenvalue(i)
@@ -206,33 +194,37 @@ class HermitianSolve:
         minor = self.minor_spectra[j - 1].values if self.n > 1 else ()  # 0 x 0 minor
         return math.prod((lam - mu for mu in minor), start=1.0)
 
-    def adjugate_columns(self, pairs) -> list:
-        """Column q (0-based) of qadj(lambda_i E - A) for each (i, q) in
-        pairs; the columns not kept yet come from one qdet.adjugate_columns
-        call and are kept."""
-        missing = [iq for iq in pairs if iq not in self._columns]
+    def _shifted_columns(self, shifts, qs) -> np.ndarray:
+        """Columns qs (0-based) of qadj(lambda_i E - A) for each i of shifts,
+        shift by shift, as one (4, n, len(shifts) * len(qs)) array.  Every
+        lambda_i is checked simple, in the order of shifts, before one
+        qdet.adjugate_columns call evaluates them all."""
+        stack = np.stack([lambda_shift(self.A.inner, self.eigenvalue(i)).data
+                          for i in shifts], axis=1)
+        return qdet.adjugate_columns(
+            stack, [(k, q) for k in range(len(shifts)) for q in qs])
+
+    def _keep_adjugates(self, shifts) -> None:
+        """Keep qadj(lambda_i E - A), read-only, for every i of shifts; those
+        not kept yet are evaluated in one batch."""
+        missing = [i for i in shifts if i not in self._adjugates]
         if missing:
-            shifts = sorted({i for i, _ in missing})
-            stack = np.stack([lambda_shift(self.A.inner, self.eigenvalue(i)).data
-                              for i in shifts], axis=1)
-            columns = qdet.adjugate_columns(
-                stack, [(shifts.index(i), q) for i, q in missing])
-            columns.flags.writeable = False
-            for k, iq in enumerate(missing):
-                self._columns[iq] = columns[:, :, k]
-        return [self._columns[iq] for iq in pairs]
+            columns = self._shifted_columns(missing, range(self.n))
+            for i, adjugate in zip(missing, np.split(columns, len(missing), axis=2)):
+                self._adjugates[i] = QMatrix.from_data(adjugate)
 
-    @_kept
     def adjugate(self, i: int) -> QMatrix:
-        """qadj(lambda_i E - A), which equals c_i v_i v_i*, from its kept
-        columns."""
-        return QMatrix.from_data(np.stack(
-            self.adjugate_columns([(i, q) for q in range(self.n)]), axis=2))
+        """qadj(lambda_i E - A), which equals c_i v_i v_i*."""
+        self._keep_adjugates([i])
+        return self._adjugates[i]
 
-    @_kept
     def eigenpair(self, i: int) -> EigenPair:
         """Unit v_i from one column of the shifted adjugate: column m, where
-        the EEI weight |v_m|^2 = prod(lambda_i - mu(M_m)) / c_i is largest."""
+        the EEI weight |v_m|^2 = prod(lambda_i - mu(M_m)) / c_i is largest,
+        read from the kept adjugate if there is one and evaluated alone
+        (n sums) otherwise."""
+        if i in self._eigenpairs:
+            return self._eigenpairs[i]
         n = self.n
         lam = self.eigenvalue(i)
         c = self.gap_product(i)
@@ -241,7 +233,10 @@ class HermitianSolve:
         if not all(map(math.isfinite, weights)) or weights[m] < PIVOT_WEIGHT_TOL:
             raise PivotFailure("no finite, usable EEI pivot weight "
                                "(the gap products overflow or vanish)")
-        [column] = self.adjugate_columns([(i, m)])
+        if i in self._adjugates:
+            column = self._adjugates[i].data[:, :, m]
+        else:
+            column = self._shifted_columns([i], [m])[:, :, 0]
         if not np.isfinite(column).all():
             raise PivotFailure("the pivot column of qadj is not finite "
                                "(rank-one structure lost)")
@@ -250,8 +245,9 @@ class HermitianSolve:
             column = column * (1.0 / (vm * c))
         column[:, m] = (vm, 0.0, 0.0, 0.0)
         v = QMatrix.from_data(column[:, :, None])
-        return EigenPair(lam, v, m + 1, residual(self.A.inner, v, lam),
-                         abs(vector_norm(v) - 1.0))
+        pair = self._eigenpairs[i] = EigenPair(
+            lam, v, m + 1, residual(self.A.inner, v, lam), abs(vector_norm(v) - 1.0))
+        return pair
 
 
 def as_solve(A) -> HermitianSolve:
@@ -284,15 +280,11 @@ def eei_report(A) -> list:
     minor spectra alone."""
     n = A.n
     solve = as_solve(A)
-    for i in range(1, n + 1):  # all simple before any adjugate is built
-        solve.eigenvalue(i)
-    # every column of every shifted adjugate, in one batch
-    solve.adjugate_columns([(i, q) for i in range(1, n + 1) for q in range(n)])
+    solve._keep_adjugates(range(1, n + 1))  # every shifted adjugate in one batch
     reports = []
     for i in range(1, n + 1):
-        rhs = [solve.minor_gap_product(i, j) for j in range(1, n + 1)]
         lhs = solve.adjugate(i).data[0].diagonal().tolist()
-        reports += [EEIReport(i, j, lhs[j - 1], rhs[j - 1])
+        reports += [EEIReport(i, j, lhs[j - 1], solve.minor_gap_product(i, j))
                     for j in range(1, n + 1)]
     return reports
 
@@ -300,12 +292,13 @@ def eei_report(A) -> list:
 def verify_outer_product(A, i: int) -> float:
     """Max deviation of qadj(lam*E - A) from c * v v*."""
     solve = as_solve(A)
+    adjugate = solve.adjugate(i)  # first, so the pivot column is read from it
     v = solve.eigenpair(i).vector
     outer = qmatrix.matmul(v, qmatrix.conj_transpose(v))
     c = solve.gap_product(i)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = QMatrix.from_data(outer.data * c)
-    return (solve.adjugate(i) - scaled).norm_inf()
+    return (adjugate - scaled).norm_inf()
 
 
 def identity_residuals(A) -> dict:
@@ -314,15 +307,17 @@ def identity_residuals(A) -> dict:
     det(A) = prod lam and V* V = E for the eigenvectors V = [v_1 .. v_n]."""
     n = A.n
     solve = as_solve(A)
-    eei_max = max(r.residual for r in eei_report(solve))
-    outer_max = max(verify_outer_product(solve, i) for i in range(1, n + 1))
+    # np.max, unlike max, returns NaN whenever a residual is NaN
+    eei_max = float(np.max([r.residual for r in eei_report(solve)]))
+    outer_max = float(np.max([verify_outer_product(solve, i)
+                              for i in range(1, n + 1)]))
 
     M = solve.A.inner
     dA = qdet.det(M)
     Q = qdet.qadj(M)
     dE = qmatrix.scale_left(dA, qmatrix.identity(n))
-    adj_identity = max((qmatrix.matmul(Q, M) - dE).norm_inf(),
-                       (qmatrix.matmul(M, Q) - dE).norm_inf())
+    adj_identity = float(np.max([(qmatrix.matmul(Q, M) - dE).norm_inf(),
+                                 (qmatrix.matmul(M, Q) - dE).norm_inf()]))
     det_vs_product = (dA - math.prod(solve.spectrum.values, start=1.0)).modulus()
 
     pairs = [eigenvector_from_qadj(solve, i) for i in range(1, n + 1)]

@@ -186,17 +186,18 @@ def validate_hermitian(A: QMatrix) -> HermitianQMatrix:
     """Certify A = A*; tolerance scales with the largest entry modulus.
     Both are taken of A / 2**e, with 2**e just above the largest component:
     the scaling is exact, and the squared moduli cannot overflow.
-    Reports the first pair p <= q (row by row) with the largest deviation;
-    a NaN deviation (from a non-finite entry) is never within tolerance."""
+    Reports the first pair p <= q (row by row) with the largest deviation:
+    the deviation is exactly symmetric, so the first largest entry of the
+    whole matrix has p <= q.  A NaN deviation (from a non-finite entry) is
+    never within tolerance, and argmax finds the first NaN."""
     if not A.is_square():
         raise NotSquare(f"Hermitian validation needs a square matrix, got {A.shape}")
     e = np.frexp(np.max(np.abs(A.data)))[1]
     S = QMatrix.from_data(np.ldexp(A.data, -e))
     tol = HERMITIAN_TOL * S.norm_inf()
     deviation = np.max(np.abs(S.data - conj_transpose(S).data), axis=0)
-    rows, cols = np.triu_indices(A.n_rows)
-    k = int(np.argmax(deviation[rows, cols]))
-    dev, p, q = deviation[rows[k], cols[k]], int(rows[k]), int(cols[k])
+    p, q = divmod(int(np.argmax(deviation)), A.n_rows)
+    dev = deviation[p, q]
     if not dev <= tol:
         dev, tol = float(np.ldexp(dev, e)), float(np.ldexp(tol, e))
         raise NotHermitian(

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from qeei import cli, eigen, qdet
-from qeei.qmatrix import from_components
+from qeei import cli, eigen, qdet, qmatrix
+from qeei.qmatrix import QMatrix, from_components
 from qeei.quat import Quaternion
 from qeei.random_matrices import random_hermitian_gapped
 
@@ -465,6 +465,55 @@ def test_verify_text_shows_a_nan_worst_residual(example_file, capsys, monkeypatc
     code, out = run(capsys, ["verify", example_file])
     assert code == 7
     assert out.splitlines()[-1] == "status: violation (worst nan vs 1.000e-07)"
+
+
+def verify_gapped_3(tmp_path, capsys):
+    H = random_hermitian_gapped(3, np.random.default_rng(1))
+    path = write_doc(tmp_path, "gapped.json", cli.matrix_to_doc(H.inner))
+    return run_json(capsys, ["verify", path])
+
+
+def assert_nan_violation(code, report, residual):
+    assert code == 7 and report["status"] == "violation"
+    assert math.isnan(report["residuals"][residual])
+
+
+# max() would skip a NaN that is not the first of the residuals it compares
+
+def test_verify_reports_a_nan_eei_residual(tmp_path, capsys, monkeypatch):
+    eei_report = eigen.eei_report
+
+    def one_nan(A):
+        reports = eei_report(A)
+        reports[4] = dataclasses.replace(reports[4], lhs=math.nan)
+        return reports
+
+    monkeypatch.setattr(eigen, "eei_report", one_nan)
+    assert_nan_violation(*verify_gapped_3(tmp_path, capsys), "eei_max")
+
+
+def test_verify_reports_a_nan_outer_product_residual(tmp_path, capsys,
+                                                     monkeypatch):
+    verify = eigen.verify_outer_product
+    monkeypatch.setattr(eigen, "verify_outer_product",
+                        lambda A, i: math.nan if i == 2 else verify(A, i))
+    assert_nan_violation(*verify_gapped_3(tmp_path, capsys), "outer_product_max")
+
+
+def test_verify_reports_a_nan_adjugate_identity(tmp_path, capsys, monkeypatch):
+    qadj, matmul = qdet.qadj, qmatrix.matmul
+    adjugates = []
+    monkeypatch.setattr(qdet, "qadj",
+                        lambda M: adjugates.append(qadj(M)) or adjugates[-1])
+
+    def nan_right_side(a, b):  # A qadj(A) only; qadj(A) A stays finite
+        product = matmul(a, b)
+        if adjugates and b is adjugates[0]:
+            return QMatrix.from_data(np.full_like(product.data, math.nan))
+        return product
+
+    monkeypatch.setattr(qmatrix, "matmul", nan_right_side)
+    assert_nan_violation(*verify_gapped_3(tmp_path, capsys), "adjugate_identity")
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -430,6 +430,26 @@ def test_solve_keeps_each_result(monkeypatch):
     assert solve.eigenpair(3) is eigenvector_from_qadj(solve, 3)
 
 
+def test_partially_degenerate_spectrum(monkeypatch):
+    # a real rotation of diag(1, 1, 3): lambda_3 is simple, lambda_1 = lambda_2
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    A0 = Q @ np.diag([1.0, 1.0, 3.0]) @ Q.T
+    zero = np.zeros((3, 3))
+    H = validate_hermitian(
+        qmatrix.from_components(0.5 * (A0 + A0.T), zero, zero, zero))
+    assert eigenvector_from_qadj(H, 3).residual < 1e-14
+    assert verify_outer_product(H, 3) < 1e-14
+    # a solve that keeps the simple shift's adjugate still checks every
+    # shift, in order, before evaluating any other
+    solve = HermitianSolve(H)
+    verify_outer_product(solve, 3)
+    for A in (H, solve):
+        passes = count_calls(monkeypatch, qdet, "_permutation_sum")
+        with pytest.raises(DegenerateEigenvalue, match="^eigenvalue 1 "):
+            eei_report(A)
+        assert passes == []
+
+
 def test_non_finite_pivot_column_is_a_pivot_failure():
     # eigenvalues 0, 1e150, 1e155 in a rotated basis: the EEI weights of
     # lambda_1 are finite, but the 2x2 cofactors of the shifted matrix

@@ -215,6 +215,40 @@ def test_worst_hermitian_pair_is_the_first_largest():
     assert (info.value.row, info.value.col, info.value.deviation) == (1, 3, 3.0)
 
 
+def upper_triangle_worst(A):
+    """(row, col), 1-based, of the worst Hermitian pair by the upper-triangle
+    rule: over p <= q row by row, the first NaN deviation, else the first
+    largest one."""
+    deviation = np.max(np.abs(A.data - conj_transpose(A).data), axis=0)
+    n = A.n_rows
+    pairs = [(p, q) for p in range(n) for q in range(p, n)]
+    nans = [pq for pq in pairs if math.isnan(deviation[pq])]
+    p, q = nans[0] if nans else max(pairs, key=lambda pq: deviation[pq])
+    return p + 1, q + 1
+
+
+def test_worst_hermitian_pair_on_ties_and_nan_is_the_upper_triangle_one():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        # small integers: many deviations tie, below and above the diagonal
+        data = rng.integers(-1, 2, (4, n, n)).astype(float)
+        if rng.random() < 0.5:
+            data[rng.integers(4), rng.integers(n), rng.integers(n)] = math.nan
+        A = QMatrix.from_data(data)
+        if not np.any(data != conj_transpose(A).data):
+            continue
+        with pytest.raises(NotHermitian) as info:
+            validate_hermitian(A)
+        assert (info.value.row, info.value.col) == upper_triangle_worst(A)
+    # a NaN below the diagonal outranks a larger finite deviation above it
+    rows = [[0.0, 5.0, 0.0], [0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]
+    with pytest.raises(NotHermitian) as info:
+        validate_hermitian(QMatrix(rows))
+    assert (info.value.row, info.value.col) == (1, 3)
+    assert math.isnan(info.value.deviation)
+
+
 def test_hermitian_check_is_relative_at_every_scale():
     validate_hermitian(zeros(3))  # tolerance 0, deviation 0
     z = np.zeros((2, 2))
